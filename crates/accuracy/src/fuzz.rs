@@ -9,9 +9,8 @@
 //! compiled coefficient tables, exercising strip-peel and family-padded
 //! residues), odd-dimension handling,
 //! cutoff criterion (the paper's eqs. 10/11, 12, 7, 15 plus `Never`),
-//! `parallel_depth` (0–3), the parallel scheduler (task DAG vs legacy
-//! fan-out) and its in-flight width cap, a serial vs pool-parallel leaf
-//! GEMM, fused kernels (one- and two-level flattening through the
+//! `parallel_depth` (0–3), the task DAG's in-flight width cap, a serial
+//! vs pool-parallel leaf GEMM, fused last-level kernels (through the
 //! shared-panel executor), the base GEMM's cache-blocking class
 //! ([`BlockingClass`]: auto/tiny/prime/huge), probe installed or
 //! not — runs
@@ -30,9 +29,7 @@ use crate::metrics::{compare, ErrorReport};
 use blas::level3::{GemmAlgo, GemmConfig, MR, NR};
 use blas::Op;
 use matrix::{norms, random};
-use strassen::{
-    dgefmm, trace, CutoffCriterion, Family, OddHandling, Scheduler, Scheme, StrassenConfig, Variant,
-};
+use strassen::{dgefmm, trace, CutoffCriterion, Family, OddHandling, Scheme, StrassenConfig, Variant};
 use testkit::Gen;
 
 /// Largest dimension the fuzzer draws. Big enough for three recursion
@@ -111,11 +108,8 @@ pub struct FuzzCase {
     pub criterion: CutoffCriterion,
     /// Task-parallel recursion levels (effective with `SevenTemp`).
     pub parallel_depth: usize,
-    /// Which executor carries the parallel levels (DAG vs legacy
-    /// fan-out) — must never change results.
-    pub scheduler: Scheduler,
-    /// In-flight node cap for the DAG executor (1, 2, 4, or unbounded);
-    /// another results-invariant axis.
+    /// In-flight node cap for the DAG executor (1, 2, 4, or unbounded) —
+    /// must never change results.
     pub parallel_width: usize,
     /// Run the leaf GEMMs through the pool-parallel 5-loop nest instead
     /// of the serial blocked kernel (bitwise-identical by contract, so
@@ -123,9 +117,6 @@ pub struct FuzzCase {
     pub parallel_gemm: bool,
     /// Fused last-level kernels on/off.
     pub fused: bool,
-    /// Levels the fused path flattens at once (1 or 2; 2 runs the
-    /// 49-product composed schedule through the shared-panel executor).
-    pub fused_levels: u8,
     /// Cache-blocking class for the base GEMM (and, through it, the
     /// packed-panel fused executor).
     pub blocking: BlockingClass,
@@ -201,11 +192,9 @@ impl FuzzCase {
             odd: g.pick(&OddHandling::ALL),
             criterion,
             parallel_depth: g.usize_in_incl(0, 3),
-            scheduler: g.pick(&Scheduler::ALL),
             parallel_width: g.pick(&[1usize, 2, 4, usize::MAX]),
             parallel_gemm: g.bool(),
             fused: g.bool(),
-            fused_levels: if g.bool() { 2 } else { 1 },
             blocking: g.pick(&BlockingClass::ALL),
             probe: g.bool(),
             data_seed: g.seed(),
@@ -227,8 +216,6 @@ impl FuzzCase {
                 .odd(self.odd)
                 .cutoff(self.criterion)
                 .fused(self.fused)
-                .fused_levels(self.fused_levels)
-                .scheduler(self.scheduler)
                 .parallel_width(self.parallel_width)
                 .gemm(gemm)
         }
@@ -332,10 +319,8 @@ mod tests {
         let mut odds = std::collections::HashSet::new();
         let mut criteria = std::collections::HashSet::new();
         let mut depths = std::collections::HashSet::new();
-        let mut schedulers = std::collections::HashSet::new();
         let mut widths = std::collections::HashSet::new();
         let mut blockings = std::collections::HashSet::new();
-        let mut levels = std::collections::HashSet::new();
         let mut odd_dims = false;
         let mut beta_zero = false;
         let mut beta_nonzero = false;
@@ -350,10 +335,8 @@ mod tests {
             odds.insert(format!("{:?}", c.odd));
             criteria.insert(std::mem::discriminant(&c.criterion));
             depths.insert(c.parallel_depth);
-            schedulers.insert(format!("{:?}", c.scheduler));
             widths.insert(c.parallel_width);
             blockings.insert(format!("{:?}", c.blocking));
-            levels.insert(c.fused_levels);
             odd_dims |= c.m % 2 == 1 && c.k % 2 == 1;
             beta_zero |= c.beta == 0.0;
             beta_nonzero |= c.beta != 0.0;
@@ -367,10 +350,8 @@ mod tests {
         assert_eq!(odds.len(), 4);
         assert_eq!(criteria.len(), 5, "all four paper criteria plus Never");
         assert_eq!(depths.len(), 4, "parallel_depth 0 through 3");
-        assert_eq!(schedulers.len(), 2, "task DAG and legacy fan-out");
         assert_eq!(widths.len(), 4, "width caps 1, 2, 4, and unbounded");
         assert_eq!(blockings.len(), 4, "auto, tiny, prime, and huge blocking");
-        assert_eq!(levels.len(), 2, "one- and two-level fused flattening");
         assert!(odd_dims && beta_zero && beta_nonzero);
         assert!(parallel_leaf && serial_leaf, "both leaf-GEMM backends drawn");
     }

@@ -7,7 +7,7 @@
 //! loop alongside the DGEMMS call; Figure 3's "general case" advantage of
 //! DGEFMM comes from avoiding it).
 
-use crate::config::{OddHandling, Scheduler, Scheme, StrassenConfig, Variant};
+use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
 use crate::fastmm::Family;
@@ -27,13 +27,11 @@ pub fn dgemms_config(tau: usize, gemm: GemmConfig) -> StrassenConfig {
         cutoff_general: None,
         gemm,
         parallel_depth: 0,
-        scheduler: Scheduler::TaskDag,
         parallel_width: usize::MAX,
         max_depth: usize::MAX,
         // The comparator codes predate the fused kernels; keep them on
         // the classic temp-based schedules they model.
         fused: false,
-        fused_levels: 1,
     }
 }
 

@@ -10,7 +10,7 @@
 //!   what gives DGEMMW its `mn + (mk + kn)/3` general-case memory
 //!   footprint (≈ `5m²/3` square, Table 1) versus DGEFMM's `m²`.
 
-use crate::config::{OddHandling, Scheduler, Scheme, StrassenConfig, Variant};
+use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
 use crate::fastmm::Family;
@@ -30,13 +30,11 @@ pub fn dgemmw_config(tau: usize, gemm: GemmConfig) -> StrassenConfig {
         cutoff_general: None,
         gemm,
         parallel_depth: 0,
-        scheduler: Scheduler::TaskDag,
         parallel_width: usize::MAX,
         max_depth: usize::MAX,
         // The comparator codes predate the fused kernels; keep them on
         // the classic temp-based schedules they model.
         fused: false,
-        fused_levels: 1,
     }
 }
 

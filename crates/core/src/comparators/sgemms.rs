@@ -6,7 +6,7 @@
 //! saves — the eq. (4)/(5) gap), vendor-style padding for odd sizes, and
 //! the largest temporary footprint of the codes in Table 1 (`7m²/3`).
 
-use crate::config::{OddHandling, Scheduler, Scheme, StrassenConfig, Variant};
+use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
 use crate::fastmm::Family;
@@ -25,13 +25,11 @@ pub fn sgemms_config(tau: usize, gemm: GemmConfig) -> StrassenConfig {
         cutoff_general: None,
         gemm,
         parallel_depth: 0,
-        scheduler: Scheduler::TaskDag,
         parallel_width: usize::MAX,
         max_depth: usize::MAX,
         // The comparator codes predate the fused kernels; keep them on
         // the classic temp-based schedules they model.
         fused: false,
-        fused_levels: 1,
     }
 }
 

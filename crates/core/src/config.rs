@@ -67,31 +67,6 @@ impl Scheme {
     ];
 }
 
-/// How the parallel levels of [`Scheme::SevenTemp`] are executed on the
-/// thread pool. Both schedulers run the *same* canonical node bodies in
-/// a dependency-respecting order, so results are bitwise identical; the
-/// choice only affects how much ready work the pool can see at once.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Explicit task DAG per recursion level (`pool::dag`): pre-add,
-    /// product, and post-add nodes with the schedule table's real data
-    /// dependencies as edges. Products become ready as their operands
-    /// land (no level barrier before the multiplies), post-adds overlap
-    /// still-running products, and nested levels' DAG nodes coexist in
-    /// the worker deques — work-stealing across recursion levels.
-    TaskDag,
-    /// PR-5-era fan-out: run all pre-adds serially, spawn the seven
-    /// products as one scope, join, then run all post-adds serially.
-    /// Kept as the differential-fuzzer baseline and an ablation point.
-    FanOut,
-}
-
-impl Scheduler {
-    /// Every scheduler, for config-space sweeps and the differential
-    /// fuzzer.
-    pub const ALL: [Scheduler; 2] = [Scheduler::TaskDag, Scheduler::FanOut];
-}
-
 /// How odd dimensions are made even at each recursion level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OddHandling {
@@ -166,15 +141,10 @@ pub struct StrassenConfig {
     /// Recursion levels whose seven products may run as parallel tasks
     /// (only effective with [`Scheme::SevenTemp`]); 0 disables.
     pub parallel_depth: usize,
-    /// Which executor carries the parallel levels (only effective with
-    /// [`Scheme::SevenTemp`] and `parallel_depth > 0`). Never changes
-    /// results — see [`Scheduler`].
-    pub scheduler: Scheduler,
     /// Cap on simultaneously in-flight DAG nodes per parallel level
-    /// (`usize::MAX` = unbounded, the default; only effective with
-    /// [`Scheduler::TaskDag`]). `1` serializes the DAG into its
-    /// deterministic lowest-index-first topological order — a fuzzer and
-    /// determinism-test axis, not a performance knob.
+    /// (`usize::MAX` = unbounded, the default). `1` serializes the DAG
+    /// into its deterministic lowest-index-first topological order — a
+    /// fuzzer and determinism-test axis, not a performance knob.
     pub parallel_width: usize,
     /// Hard limit on recursion depth, regardless of the cutoff criterion
     /// (`usize::MAX` = unlimited). The empirical tuning procedure uses
@@ -186,15 +156,6 @@ pub struct StrassenConfig {
     /// write-back kernels instead of the temp-based schedules. Requires
     /// the blocked serial GEMM kernel; other kernels ignore the flag.
     pub fused: bool,
-    /// How many recursion levels the fused path may flatten at once
-    /// (1 or 2). Two levels compose the 1969 schedule with itself — 49
-    /// products with ≤ 4-term sums and ≤ 4 destinations, zero workspace
-    /// for the bottom *two* levels — but measure slower here than
-    /// one-level fusion: the classic outer level's adds materialize
-    /// contiguous temporaries that the inner level packs cheaply, while
-    /// the flattened schedule packs wide-strided 4-term sums straight
-    /// from the parent views. Kept as an opt-in ablation (default 1).
-    pub fused_levels: u8,
 }
 
 impl StrassenConfig {
@@ -213,11 +174,9 @@ impl StrassenConfig {
             // fallbacks, resolved once per process.
             gemm: GemmConfig::auto(),
             parallel_depth: 0,
-            scheduler: Scheduler::TaskDag,
             parallel_width: usize::MAX,
             max_depth: usize::MAX,
             fused: true,
-            fused_levels: 1,
         }
     }
 
@@ -341,21 +300,9 @@ impl StrassenConfig {
         self
     }
 
-    /// Replace the parallel-level executor.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Cap in-flight DAG nodes per parallel level (clamped to ≥ 1).
     pub fn parallel_width(mut self, width: usize) -> Self {
         self.parallel_width = width.max(1);
-        self
-    }
-
-    /// Set how many levels the fused path may flatten (clamped to 1–2).
-    pub fn fused_levels(mut self, levels: u8) -> Self {
-        self.fused_levels = levels.clamp(1, 2);
         self
     }
 }
@@ -407,10 +354,8 @@ mod tests {
         let c = StrassenConfig::dgefmm_parallel();
         assert_eq!(c.scheme, Scheme::SevenTemp);
         assert_eq!(c.parallel_depth, 2);
-        assert_eq!(c.scheduler, Scheduler::TaskDag);
         assert_eq!(c.parallel_width, usize::MAX);
-        let c = c.scheduler(Scheduler::FanOut).parallel_width(0).parallel_depth(1);
-        assert_eq!(c.scheduler, Scheduler::FanOut);
+        let c = c.parallel_width(0).parallel_depth(1);
         assert_eq!(c.parallel_width, 1, "width clamps to >= 1");
         assert_eq!(c.parallel_depth, 1);
     }

@@ -16,60 +16,28 @@ use blas::level3::{gemm, GemmAlgo};
 use matrix::{MatMut, MatRef, Matrix, Scalar};
 use std::time::Instant;
 
-/// How many recursion levels (0, 1, or 2) to run through the fused
-/// add-pack / multi-destination kernels at this node.
-enum FusedSpan {
-    No,
-    One,
-    Two,
-}
-
-/// Decide the fused span. `One` when the level's seven products would all
-/// bottom out in conventional GEMMs anyway (their operands are at or
-/// below the cutoff for *both* β classes, since the fused products are
-/// plain GEMMs rather than `fmm` re-entries), the dimensions are already
-/// even, and the serial blocked kernel — the one the fused driver is
-/// built on — is selected. `Two` when the children would recurse exactly
-/// once more (again for both β classes, and with dimensions divisible by
-/// 4 so no peel/pad intervenes): the 49 grandchild products then run as
-/// one flat two-level schedule, eliminating the outer level's temp
-/// traffic as well. The decision is a pure function of `cfg` and the
-/// problem shape — deliberately independent of `parallel_depth`, so a
-/// parallel run selects exactly the kernels its serial twin would and
+/// Whether this level runs through the fused add-pack /
+/// multi-destination kernels: its seven products would all bottom out in
+/// conventional GEMMs anyway (their operands are at or below the cutoff
+/// for *both* β classes, since the fused products are plain GEMMs rather
+/// than `fmm` re-entries), the dimensions are already even, and the
+/// serial blocked kernel — the one the fused driver is built on — is
+/// selected. The decision is a pure function of `cfg` and the problem
+/// shape — deliberately independent of `parallel_depth`, so a parallel
+/// run selects exactly the kernels its serial twin would and
 /// serial ≡ parallel stays bitwise (a fused leaf reached *inside* a
 /// parallel region simply runs inside its product task).
-fn fused_span(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> FusedSpan {
+fn fuse_last_level(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> bool {
     if !cfg.fused || cfg.gemm.algo != GemmAlgo::Blocked || cfg.family != Family::F222 {
-        return FusedSpan::No;
+        return false;
     }
     if m % 2 != 0 || k % 2 != 0 || n % 2 != 0 || m == 0 || k == 0 || n == 0 {
-        return FusedSpan::No;
+        return false;
     }
-    let stop_both = |mm: usize, kk: usize, nn: usize| {
-        cfg.criterion_for(true).should_stop(mm, kk, nn) && cfg.criterion_for(false).should_stop(mm, kk, nn)
-    };
     let (m2, k2, n2) = (m / 2, k / 2, n / 2);
-    if depth + 1 >= cfg.max_depth || stop_both(m2, k2, n2) {
-        return FusedSpan::One;
-    }
-    if cfg.fused_levels < 2 {
-        return FusedSpan::No;
-    }
-    // Two-level window (opt-in ablation): children recurse in both β
-    // classes (neither criterion stops them — a mixed verdict would make
-    // the fused plan diverge from the classic one), and every grandchild
-    // is a leaf.
-    let recurse_both =
-        !cfg.criterion_for(true).should_stop(m2, k2, n2) && !cfg.criterion_for(false).should_stop(m2, k2, n2);
-    if m % 4 == 0
-        && k % 4 == 0
-        && n % 4 == 0
-        && recurse_both
-        && (depth + 2 >= cfg.max_depth || stop_both(m / 4, k / 4, n / 4))
-    {
-        return FusedSpan::Two;
-    }
-    FusedSpan::No
+    depth + 1 >= cfg.max_depth
+        || (cfg.criterion_for(true).should_stop(m2, k2, n2)
+            && cfg.criterion_for(false).should_stop(m2, k2, n2))
 }
 
 /// The internal fast-matrix-multiply recursion:
@@ -113,28 +81,18 @@ pub(crate) fn fmm<T: Scalar>(
         return;
     }
 
-    // The last recursion level (or two) fuses the operand/result
-    // additions into the leaf GEMMs themselves — no temporaries, no
-    // workspace draw. Both variants run the 1969 original form here:
-    // Winograd's smaller add count is a property of *temp reuse*
-    // (U1 = P1 + P6 shared by three quadrants), which fusion abandons;
-    // expanded per quadrant it needs 14 destination touches and up to
-    // 4-term operand sums, while the original form needs 12 touches and
-    // at most 2-term sums.
-    match fused_span(cfg, m, k, n, depth) {
-        FusedSpan::Two => {
-            let t = trace::span_timer();
-            fused::original_fused_two_level(cfg, alpha, a, b, beta, c);
-            trace::fused(depth, 2, m, k, n, trace::span_ns(t));
-            return;
-        }
-        FusedSpan::One => {
-            let t = trace::span_timer();
-            fused::original_fused(cfg, alpha, a, b, beta, c);
-            trace::fused(depth, 1, m, k, n, trace::span_ns(t));
-            return;
-        }
-        FusedSpan::No => {}
+    // The last recursion level fuses the operand/result additions into
+    // the leaf GEMMs themselves — no temporaries, no workspace draw. Both
+    // variants run the 1969 original form here: Winograd's smaller add
+    // count is a property of *temp reuse* (U1 = P1 + P6 shared by three
+    // quadrants), which fusion abandons; expanded per quadrant it needs 14
+    // destination touches and up to 4-term operand sums, while the
+    // original form needs 12 touches and at most 2-term sums.
+    if fuse_last_level(cfg, m, k, n, depth) {
+        let t = trace::span_timer();
+        fused::original_fused(cfg, alpha, a, b, beta, c);
+        trace::fused(depth, m, k, n, trace::span_ns(t));
+        return;
     }
 
     let scheme = resolve_scheme(cfg, beta_zero);

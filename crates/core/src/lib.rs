@@ -51,7 +51,7 @@ pub mod tuning;
 pub mod workspace;
 
 pub use backend::{GemmBackend, MatMul, StrassenBackend, TimingBackend};
-pub use config::{OddHandling, Scheduler, Scheme, StrassenConfig, Variant};
+pub use config::{OddHandling, Scheme, StrassenConfig, Variant};
 pub use cutoff::{CutoffCriterion, StopReason};
 pub use dispatch::{
     criterion_tau, dgefmm, dgefmm_with_workspace, multiply, planned_depth, workspace_elements,

@@ -137,14 +137,12 @@ pub struct LeafEvent {
     pub ns: u64,
 }
 
-/// One or two recursion levels flattened through the fused add-pack
-/// kernels (no workspace draw, no separate add passes).
+/// One recursion level run through the fused add-pack kernels (no
+/// workspace draw, no separate add passes).
 #[derive(Clone, Copy, Debug)]
 pub struct FusedEvent {
     /// Recursion depth of the fused node.
     pub depth: usize,
-    /// Levels flattened: 1 (seven products) or 2 (forty-nine).
-    pub levels: u8,
     /// Node output rows.
     pub m: usize,
     /// Node inner dimension.

@@ -1,5 +1,5 @@
 //! Seven-temporary Winograd schedule with independent products, executed
-//! serially, as a legacy fan-out, or as an explicit task DAG.
+//! serially or as an explicit task DAG.
 //!
 //! The low-memory schedules (STRASSEN1/2) serialize the seven recursive
 //! products through shared temporaries; that is precisely what makes
@@ -11,35 +11,29 @@
 //! parallelism" future-work item of Section 5, and the memory-versus-
 //! parallelism ablation in the benches.
 //!
-//! # One schedule, three executions
+//! # One schedule, two executions
 //!
 //! A level is 21 *nodes* — 8 operand adds, 7 products, 2 shared-U
 //! updates, 4 quadrant write-backs — whose real data dependencies form a
 //! DAG (`S2` needs `S1`, `P6` needs `S2` and `T2`, `C12` needs `U2`,
 //! `P5`, `P3`, …). Declaration order is a valid topological order, and
 //! executing the node bodies in that order *is* the serial schedule.
-//! With `depth < cfg.parallel_depth` the same nodes run on the pool
-//! under [`crate::Scheduler`]:
-//!
-//! - [`Scheduler::TaskDag`]: all 21 nodes go to [`pool::dag`] with their
-//!   edges. Products start the moment their operands land (`P1`, `P2`
-//!   immediately — they read only `A`/`B` quadrants), write-backs overlap
-//!   still-running products, and nodes of nested levels coexist in the
-//!   worker deques — work-stealing across recursion levels, no
-//!   level-at-a-time join barrier.
-//! - [`Scheduler::FanOut`]: the PR-5 shape — adds serial on the calling
-//!   thread, the seven products spawned as one scope, join, write-backs
-//!   serial. Kept as the fuzzer baseline and ablation point.
+//! With `depth < cfg.parallel_depth` all 21 nodes go to [`pool::dag`]
+//! with their edges instead. Products start the moment their operands
+//! land (`P1`, `P2` immediately — they read only `A`/`B` quadrants),
+//! write-backs overlap still-running products, and nodes of nested
+//! levels coexist in the worker deques — work-stealing across recursion
+//! levels, no level-at-a-time join barrier.
 //!
 //! # Determinism
 //!
-//! Every execution mode runs the *same node bodies*, and every pair of
+//! Both execution modes run the *same node bodies*, and every pair of
 //! nodes that touch the same data is ordered by an edge, so each matrix
 //! element sees one fixed floating-point op sequence regardless of
-//! scheduler, width, thread count, or steal pattern: serial ≡ fan-out ≡
-//! DAG, bitwise (β-scaling is folded into each quadrant's write-back
-//! node, which changes *when* a quadrant is scaled, never the
-//! per-element order scale-then-accumulate). The `parallel_smoke` and
+//! width, thread count, or steal pattern: serial ≡ DAG, bitwise
+//! (β-scaling is folded into each quadrant's write-back node, which
+//! changes *when* a quadrant is scaled, never the per-element order
+//! scale-then-accumulate). The `parallel_smoke` and
 //! `dag_scheduler` suites pin this.
 //!
 //! # Affinity
@@ -63,7 +57,7 @@
 //! successors start (mutex-protected scheduling plus Acq/Rel dependency
 //! counters), so all access is exclusive-xor-shared with happens-before.
 
-use crate::config::{Scheduler, StrassenConfig};
+use crate::config::StrassenConfig;
 use crate::dispatch::fmm;
 use crate::trace::add::{accum, accum_sub, add_into, scale_in_place, sub_into};
 use matrix::{MatMut, MatRef, Scalar};
@@ -126,8 +120,8 @@ impl<T: Scalar> SlicePtr<T> {
 }
 
 /// `C ← α A B + β C` with per-product temporaries; the seven products
-/// (and, under [`Scheduler::TaskDag`], the add passes too) run as pool
-/// tasks while `depth < cfg.parallel_depth`.
+/// and the add passes run as pool DAG nodes while
+/// `depth < cfg.parallel_depth`.
 pub(crate) fn seven_temp<T: Scalar>(
     cfg: &StrassenConfig,
     alpha: T,
@@ -193,38 +187,21 @@ pub(crate) fn seven_temp<T: Scalar>(
             let mut it = rest.chunks_mut(share.max(1));
             std::array::from_fn(|_| SlicePtr::of(it.next().unwrap_or(&mut [])))
         };
-        match cfg.scheduler {
-            Scheduler::TaskDag => dag_level(
-                cfg,
-                alpha,
-                beta,
-                (m2, k2, n2),
-                (a11, a12, a21, a22),
-                (b11, b12, b21, b22),
-                &s,
-                &t,
-                &p,
-                prod_ops,
-                (c11, c12, c21, c22),
-                shares,
-                depth,
-            ),
-            Scheduler::FanOut => fanout_level(
-                cfg,
-                alpha,
-                beta,
-                (m2, k2, n2),
-                (a11, a12, a21, a22),
-                (b11, b12, b21, b22),
-                &s,
-                &t,
-                &p,
-                prod_ops,
-                (c11, c12, c21, c22),
-                shares,
-                depth,
-            ),
-        }
+        dag_level(
+            cfg,
+            alpha,
+            beta,
+            (m2, k2, n2),
+            (a11, a12, a21, a22),
+            (b11, b12, b21, b22),
+            &s,
+            &t,
+            &p,
+            prod_ops,
+            (c11, c12, c21, c22),
+            shares,
+            depth,
+        );
     }
 }
 
@@ -253,7 +230,7 @@ fn carve<T: Scalar, const N: usize>(buf: &mut [T], each: usize) -> [SlicePtr<T>;
 
 /// Stage (1)+(2): the eight operand sums, in canonical node order.
 /// SAFETY (caller): exclusive access to the `S`/`T` carve-outs for the
-/// duration (serial and fan-out modes run this before any product).
+/// duration (the serial mode runs this before any product).
 unsafe fn pre_adds<T: Scalar>(
     (m2, k2, n2): (usize, usize, usize),
     (a11, a12, a21, a22): (MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>),
@@ -333,48 +310,6 @@ fn serial_level<T: Scalar>(
             let rhs = rhs.view(k2, n2);
             fmm(cfg, alpha, lhs, rhs, T::ZERO, p[slot].mat_mut(m2, n2), rest, depth + 1);
         }
-        post_adds(beta, (m2, n2), p, cq);
-    }
-}
-
-/// Legacy fan-out: adds serial, the seven products spawned as one scope
-/// (with slot-affinity hints), join, write-backs serial.
-#[allow(clippy::too_many_arguments)]
-fn fanout_level<T: Scalar>(
-    cfg: &StrassenConfig,
-    alpha: T,
-    beta: T,
-    dims @ (m2, k2, n2): (usize, usize, usize),
-    aq: (MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>),
-    bq: (MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>, MatRef<'_, T>),
-    s: &[SlicePtr<T>; 4],
-    t: &[SlicePtr<T>; 4],
-    p: &[SlicePtr<T>; 7],
-    prod_ops: [(Operand<'_, T>, Operand<'_, T>); 7],
-    cq: (MatMut<'_, T>, MatMut<'_, T>, MatMut<'_, T>, MatMut<'_, T>),
-    shares: [SlicePtr<T>; 7],
-    depth: usize,
-) {
-    // SAFETY: pre_adds completes before any product is spawned; the
-    // scope joins before post_adds; each spawned product touches only
-    // its own P slot and workspace share.
-    unsafe {
-        pre_adds(dims, aq, bq, s, t);
-        pool::scope(|scope| {
-            for (slot, (lhs, rhs)) in prod_ops.into_iter().enumerate() {
-                let pslot = p[slot];
-                let share = shares[slot];
-                // Same (level, node) timeline tags as the DAG mode's
-                // product nodes, so traces of either scheduler name the
-                // products identically.
-                let tag = strassen_node(depth as u8, 8 + slot as u8);
-                scope.spawn_tagged(Some(slot), tag, move || {
-                    let lhs = lhs.view(m2, k2);
-                    let rhs = rhs.view(k2, n2);
-                    fmm(cfg, alpha, lhs, rhs, T::ZERO, pslot.mat_mut(m2, n2), share.slice_mut(), depth + 1);
-                });
-            }
-        });
         post_adds(beta, (m2, n2), p, cq);
     }
 }
@@ -492,7 +427,7 @@ mod tests {
     use matrix::random;
 
     #[test]
-    fn seven_temp_one_level_all_schedulers() {
+    fn seven_temp_one_level_serial_and_dag() {
         let _ = pool::set_num_threads(4);
         let base =
             StrassenConfig::dgefmm().scheme(Scheme::SevenTemp).cutoff(CutoffCriterion::Never).max_depth(1);
@@ -512,21 +447,18 @@ mod tests {
             expect.as_mut(),
         );
 
-        for scheduler in Scheduler::ALL {
-            for parallel_depth in [0usize, 1] {
-                for width in [1usize, 2, usize::MAX] {
-                    let mut cfg = base.scheduler(scheduler).parallel_width(width);
-                    cfg.parallel_depth = parallel_depth;
-                    let mut c = c0.clone();
-                    let mut ws = vec![0.0; crate::required_workspace(&cfg, m, k, n, false)];
-                    seven_temp(&cfg, 0.7, a.as_ref(), b.as_ref(), 0.3, c.as_mut(), &mut ws, 0);
-                    matrix::norms::assert_allclose(
-                        c.as_ref(),
-                        expect.as_ref(),
-                        1e-13,
-                        &format!("seven_temp {scheduler:?} depth={parallel_depth} width={width}"),
-                    );
-                }
+        for parallel_depth in [0usize, 1] {
+            for width in [1usize, 2, usize::MAX] {
+                let cfg = base.parallel_depth(parallel_depth).parallel_width(width);
+                let mut c = c0.clone();
+                let mut ws = vec![0.0; crate::required_workspace(&cfg, m, k, n, false)];
+                seven_temp(&cfg, 0.7, a.as_ref(), b.as_ref(), 0.3, c.as_mut(), &mut ws, 0);
+                matrix::norms::assert_allclose(
+                    c.as_ref(),
+                    expect.as_ref(),
+                    1e-13,
+                    &format!("seven_temp depth={parallel_depth} width={width}"),
+                );
             }
         }
     }

@@ -185,11 +185,11 @@ pub(crate) fn leaf(depth: usize, m: usize, k: usize, n: usize, beta_zero: bool, 
     emit(|p| p.leaf(&LeafEvent { depth, m, k, n, beta_zero, reason, ns }));
 }
 
-pub(crate) fn fused(depth: usize, levels: u8, m: usize, k: usize, n: usize, ns: u64) {
+pub(crate) fn fused(depth: usize, m: usize, k: usize, n: usize, ns: u64) {
     if !active() {
         return;
     }
-    emit(|p| p.fused(&FusedEvent { depth, levels, m, k, n, ns }));
+    emit(|p| p.fused(&FusedEvent { depth, m, k, n, ns }));
 }
 
 pub(crate) fn peel(depth: usize, kind: FixupKind, ns: u64) {

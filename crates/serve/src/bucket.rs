@@ -2,13 +2,11 @@
 //! traffic.
 //!
 //! Every request is classified by the *geometry* of its `(m, k, n)`
-//! product, not its exact dimensions, because that is the granularity at
-//! which the eq.-(15) hybrid cutoff parameters `(τ, τm, τk, τn)` — and
-//! therefore the whole DGEFMM plan — are tuned. Two requests in the same
-//! bucket share a [`crate::tune::BucketTuning`] entry, a
-//! [`strassen::StrassenConfig`], and a worker-affinity hint, so the
-//! worker that served a bucket last batch still holds pack buffers and a
-//! workspace arena sized for it.
+//! product, not its exact dimensions. Two requests in the same bucket
+//! are batched together and share a worker-affinity hint, so the worker
+//! that served a bucket last batch still holds pack buffers and a
+//! workspace arena sized for it. The bucket does not choose the plan:
+//! every request runs [`strassen::StrassenConfig::dgefmm`].
 //!
 //! The classes mirror the traffic mix the differential fuzzer draws
 //! (square / skinny / odd-prime — see `accuracy::fuzz`):
@@ -39,10 +37,7 @@ pub enum ShapeClass {
 }
 
 impl ShapeClass {
-    /// Every class, for sweeps and property tests.
-    pub const ALL: [ShapeClass; 3] = [ShapeClass::Square, ShapeClass::Skinny, ShapeClass::OddPrime];
-
-    /// Short stable name used in bucket keys and the tuning-cache file.
+    /// Short stable name used in bucket keys and statistics.
     pub fn name(self) -> &'static str {
         match self {
             ShapeClass::Square => "square",
@@ -94,22 +89,9 @@ impl BucketKey {
         BucketKey { class, bin: max.next_power_of_two() }
     }
 
-    /// The stable textual form used in the tuning-cache file and stats.
+    /// The stable textual form used in per-bucket statistics.
     pub fn label(&self) -> String {
         format!("{}/{}", self.class, self.bin)
-    }
-
-    /// Parse a [`BucketKey::label`] back (used by the tuning-cache
-    /// loader). Returns `None` for anything that did not come from
-    /// `label`.
-    pub fn parse(s: &str) -> Option<BucketKey> {
-        let (class, bin) = s.split_once('/')?;
-        let class = ShapeClass::ALL.into_iter().find(|c| c.name() == class)?;
-        let bin: usize = bin.parse().ok()?;
-        if !bin.is_power_of_two() {
-            return None;
-        }
-        Some(BucketKey { class, bin })
     }
 }
 
@@ -140,17 +122,6 @@ mod tests {
         assert_eq!(BucketKey::classify(64, 64, 64).bin, 64);
         assert_eq!(BucketKey::classify(65, 2, 2).bin, 128);
         assert_eq!(BucketKey::classify(1, 1, 1).bin, 1);
-    }
-
-    #[test]
-    fn label_round_trips() {
-        for (m, k, n) in [(64, 64, 64), (33, 40, 27), (256, 16, 256), (7, 7, 7)] {
-            let key = BucketKey::classify(m, k, n);
-            assert_eq!(BucketKey::parse(&key.label()), Some(key), "{key}");
-        }
-        assert_eq!(BucketKey::parse("square/100"), None, "non-power-of-two bin");
-        assert_eq!(BucketKey::parse("round/64"), None, "unknown class");
-        assert_eq!(BucketKey::parse("square64"), None, "missing separator");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!
 //! - **Shape bucketing** ([`bucket`]): requests coalesce into
 //!   square / skinny / odd-prime classes × power-of-two size bins, the
-//!   granularity at which the eq.-(15) hybrid cutoff parameters are
-//!   tuned.
+//!   unit of batching, affinity and per-bucket statistics.
 //! - **Batched dispatch** ([`server`]): each dispatch cycle runs as one
 //!   task DAG on the global work-stealing pool, with per-bucket
 //!   in-flight caps expressed as dependency edges and stable worker
@@ -18,13 +17,14 @@
 //!   arenas).
 //! - **Admission control**: a bounded queue with typed load-shedding
 //!   ([`RejectReason`]) and a blocking backpressure path.
-//! - **Persistent autotuning** ([`tune`]): a JSON tuning table keyed by
-//!   machine profile × bucket, warm-startable from a committed crossover
-//!   sweep, consulted read-only while serving.
+//! - **One plan**: every request runs the library's tuned DGEFMM
+//!   configuration, `StrassenConfig::dgefmm()`, as the paper ships one
+//!   drop-in routine with one tuned policy.
+//! - **Machine profile** ([`profile`]): the cache, blocking and kernel
+//!   facts a serving run is recorded under.
 //!
-//! Determinism is the load-bearing property: a request's plan is a pure
-//! function of its shape, and batches share no mutable floating-point
-//! state, so per-request results are bitwise identical across worker
+//! Determinism is the load-bearing property: every request runs the same
+//! plan, and batches share no mutable floating-point state, so per-request results are bitwise identical across worker
 //! counts, batch compositions, and runs (`tests/serve_determinism.rs`).
 //!
 //! ```
@@ -45,9 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod bucket;
+pub mod profile;
 pub mod server;
-pub mod tune;
 
 pub use bucket::{BucketKey, ShapeClass};
+pub use profile::MachineProfile;
 pub use server::{Completed, RejectReason, Rejected, Request, Server, ServerConfig, ServerStats, Ticket};
-pub use tune::{BucketTuning, MachineProfile, TuneCache};

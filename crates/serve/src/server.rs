@@ -1,8 +1,7 @@
 //! The serving engine: bounded admission queue, shape-bucketing batch
 //! dispatcher, and completion tickets.
 //!
-//! One [`Server`] owns a dispatcher thread and a frozen
-//! [`TuneCache`]. Clients [`Server::submit`]
+//! One [`Server`] owns a dispatcher thread. Clients [`Server::submit`]
 //! requests (non-blocking, load-shedding) or [`Server::submit_blocking`]
 //! (backpressure: wait for queue space) and receive a [`Ticket`] they
 //! can [`Ticket::wait`] on. The dispatcher drains the queue in cycles:
@@ -18,8 +17,8 @@
 //!   [`pool::dag::DagBuilder`] caps express everywhere else;
 //! - a global width cap rides [`pool::dag::DagBuilder::run`] directly.
 //!
-//! Determinism: each request's DGEFMM configuration is a pure function
-//! of its bucket (via the frozen tune cache), every node computes into
+//! Determinism: every request runs the library's tuned DGEFMM
+//! configuration ([`StrassenConfig::dgefmm`]), every node computes into
 //! its own output matrix with `β = 0`, and nodes share no mutable
 //! floating-point state — so per-request results are bitwise identical
 //! at any worker count, batch composition, or cap setting. The batcher
@@ -35,7 +34,6 @@ use pool::dag::DagBuilder;
 use strassen::{dgefmm, tls_arena_capacity_elements, StrassenConfig};
 
 use crate::bucket::BucketKey;
-use crate::tune::TuneCache;
 
 /// One matrix product to serve: `C ← α · op(A) · op(B)` into a freshly
 /// allocated `C` (`β = 0` — the serving layer owns the output, so there
@@ -251,7 +249,6 @@ struct QueueState {
 
 struct Inner {
     cfg: ServerConfig,
-    tune: TuneCache,
     state: Mutex<QueueState>,
     /// Wakes the dispatcher (new work, resume, shutdown).
     dispatch_cv: Condvar,
@@ -268,13 +265,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start a server with `cfg` and a frozen tuning table. The cache is
-    /// consulted read-only for the server's lifetime — plan selection
-    /// stays a pure function of the bucket key (the determinism pin).
-    pub fn start_with_cache(cfg: ServerConfig, tune: TuneCache) -> Server {
+    /// Start a server with `cfg` and its dispatcher thread.
+    pub fn start(cfg: ServerConfig) -> Server {
         let inner = Arc::new(Inner {
             cfg,
-            tune,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 paused: false,
@@ -296,16 +290,11 @@ impl Server {
         Server { inner, dispatcher: Some(dispatcher) }
     }
 
-    /// Start with a fresh paper-default tuning table for this machine.
-    pub fn start(cfg: ServerConfig) -> Server {
-        Server::start_with_cache(cfg, TuneCache::new(crate::tune::MachineProfile::detect()))
-    }
-
-    /// The DGEFMM configuration requests of shape `(m, k, n)` run under —
-    /// a pure function of the frozen tune cache; what the determinism
-    /// test replays inline.
-    pub fn config_for(&self, m: usize, k: usize, n: usize) -> StrassenConfig {
-        self.inner.tune.lookup(BucketKey::classify(m, k, n)).config()
+    /// The DGEFMM configuration requests of shape `(m, k, n)` run under;
+    /// what the determinism test replays inline. Every shape runs the
+    /// library's tuned plan, [`StrassenConfig::dgefmm`].
+    pub fn config_for(&self, _m: usize, _k: usize, _n: usize) -> StrassenConfig {
+        StrassenConfig::dgefmm()
     }
 
     /// Non-blocking admission: queue the request or shed it with a typed
@@ -511,9 +500,9 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
         return;
     }
     let cap = inner.cfg.bucket_in_flight_cap.max(1);
+    let cfg = StrassenConfig::dgefmm();
     let mut dag = DagBuilder::new();
-    for (ordinal, (key, batch)) in cycle.batches.into_iter().enumerate() {
-        let cfg = inner.tune.lookup(key).config();
+    for (ordinal, batch) in cycle.batches.into_values().enumerate() {
         let batch_size = batch.len();
         let mut node_ids: Vec<usize> = Vec::with_capacity(batch_size);
         for (j, pending) in batch.into_iter().enumerate() {
@@ -560,12 +549,12 @@ fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tune::MachineProfile;
+    use crate::bucket::ShapeClass;
     use matrix::random;
 
     fn small_server(cfg: ServerConfig) -> Server {
         pool::pin_once(2);
-        Server::start_with_cache(cfg, TuneCache::new(MachineProfile::detect()))
+        Server::start(cfg)
     }
 
     fn req(m: usize, k: usize, n: usize, seed: u64) -> Request {
@@ -599,6 +588,26 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.fifo_violations, 0);
+    }
+
+    #[test]
+    fn every_bucket_is_served_with_the_library_plan() {
+        // One shape per class in each power-of-two bin from 8 to 128.
+        // StrassenConfig has no PartialEq, so the Debug forms (cutoff,
+        // scheme, family, parallel_depth, fused, gemm, ...) are compared.
+        let server = small_server(ServerConfig { start_paused: true, ..ServerConfig::default() });
+        let want = format!("{:?}", StrassenConfig::dgefmm());
+        for bin in [8, 16, 32, 64, 128] {
+            for (class, (m, k, n)) in [
+                (ShapeClass::Square, (bin, bin - 2, bin)),
+                (ShapeClass::Skinny, (bin, bin / 4, bin)),
+                (ShapeClass::OddPrime, (bin - 1, bin, bin)),
+            ] {
+                let key = BucketKey::classify(m, k, n);
+                assert_eq!((key.class, key.bin), (class, bin), "{m}x{k}x{n}");
+                assert_eq!(format!("{:?}", server.config_for(m, k, n)), want, "{key}");
+            }
+        }
     }
 
     #[test]

@@ -26,10 +26,8 @@
 //! as `bench_quick`'s parallel gates). `BENCH_NO_GUARD=1` demotes an
 //! enforced failure to a warning.
 //!
-//! The persistent autotune cache round-trips here too: the run adopts
-//! `results/serve_tuning.json` when its machine profile matches,
-//! otherwise warm-starts from the committed `BENCH_PR7` sweep artifact
-//! and saves the cache for the next process.
+//! Every request runs the library's tuned plan,
+//! `StrassenConfig::dgefmm()`.
 //!
 //! Output: `BENCH_PR10.json` (or `.smoke.json`), with a `results`
 //! array keyed `(bench = "serve_<class>", n = bucket bin)` so
@@ -41,11 +39,10 @@ use std::time::Instant;
 
 use accuracy::draw_shape;
 use matrix::{random, Matrix};
-use serve::{BucketKey, MachineProfile, Request, Server, ServerConfig, ServerStats, Ticket, TuneCache};
+use serve::{BucketKey, MachineProfile, Request, Server, ServerConfig, ServerStats, Ticket};
 use strassen::probe::json::JsonWriter;
 use testkit::Gen;
 
-const TUNING_CACHE_PATH: &str = "results/serve_tuning.json";
 /// Outstanding-ticket window: enough to keep every dispatch cycle full
 /// (default queue depth) without holding the whole stream in memory.
 const WINDOW: usize = 256;
@@ -191,20 +188,6 @@ fn main() {
         if smoke { ", smoke" } else { "" },
     );
 
-    // Persistent autotune cache: adopt a saved table for this machine
-    // profile, else warm-start from the committed crossover sweep.
-    let (mut cache, adopted) = TuneCache::load(TUNING_CACHE_PATH, profile.clone());
-    let warm_source = if adopted {
-        format!("adopted {TUNING_CACHE_PATH}")
-    } else if cache.warm_start_from_bench("BENCH_PR7.json") {
-        "warm-started from BENCH_PR7.json sweep".to_string()
-    } else if cache.warm_start_from_bench("BENCH_PR7.smoke.json") {
-        "warm-started from BENCH_PR7.smoke.json sweep".to_string()
-    } else {
-        "paper-default tuning (no artifacts found)".to_string()
-    };
-    println!("tuning: {warm_source}");
-
     let pool_shapes = build_pool(seed);
     for s in pool_shapes.iter().take(4) {
         let (m, k, n) = s.dims;
@@ -212,12 +195,7 @@ fn main() {
     }
 
     // Main batched run: the default serving posture.
-    let main_run = run_stream(
-        Server::start_with_cache(ServerConfig::default(), cache.clone()),
-        count,
-        &pool_shapes,
-        seed ^ 0xA11,
-    );
+    let main_run = run_stream(Server::start(ServerConfig::default()), count, &pool_shapes, seed ^ 0xA11);
     println!(
         "batched: {count} requests in {:.2}s ({:.2} GFLOP/s aggregate), \
          p50 {:.1}us p99 {:.1}us p999 {:.1}us, {} cycles (mean batch {:.1})",
@@ -233,18 +211,9 @@ fn main() {
     // Comparison pair on one identical shorter stream: batched posture
     // vs the single-file control. Same seed, same shapes, same count —
     // the only variable is coalescing.
-    let batched = run_stream(
-        Server::start_with_cache(ServerConfig::default(), cache.clone()),
-        compare_count,
-        &pool_shapes,
-        seed ^ 0xB47,
-    );
-    let unbatched = run_stream(
-        Server::start_with_cache(unbatched_config(), cache.clone()),
-        compare_count,
-        &pool_shapes,
-        seed ^ 0xB47,
-    );
+    let batched =
+        run_stream(Server::start(ServerConfig::default()), compare_count, &pool_shapes, seed ^ 0xB47);
+    let unbatched = run_stream(Server::start(unbatched_config()), compare_count, &pool_shapes, seed ^ 0xB47);
     let speedup = batched.gflops_aggregate() / unbatched.gflops_aggregate();
     println!(
         "comparison: batched {:.2} vs unbatched {:.2} GFLOP/s aggregate -> {speedup:.2}x batching speedup",
@@ -299,17 +268,6 @@ fn main() {
         w.key(key);
         w.value_u64(v as u64);
     }
-    w.end_object();
-    w.key("tuning_cache");
-    w.begin_object();
-    w.key("path");
-    w.value_str(TUNING_CACHE_PATH);
-    w.key("adopted");
-    w.value_bool(adopted);
-    w.key("source");
-    w.value_str(&warm_source);
-    w.key("entries");
-    w.value_u64(cache.entries().count() as u64);
     w.end_object();
     w.key("latency");
     write_latency(&mut w, &main_run);
@@ -377,12 +335,6 @@ fn main() {
     let out = if smoke { "BENCH_PR10.smoke.json" } else { "BENCH_PR10.json" };
     std::fs::write(out, w.finish()).expect("write bench artifact");
     println!("wrote {out}");
-
-    if let Err(e) = cache.save(TUNING_CACHE_PATH) {
-        println!("warning: could not persist tuning cache: {e}");
-    } else if !adopted {
-        println!("persisted tuning cache to {TUNING_CACHE_PATH}");
-    }
 
     if !pass {
         if enforced {

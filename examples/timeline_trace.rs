@@ -32,7 +32,7 @@ use blas::Op;
 use matrix::{random, Matrix};
 use std::time::Instant;
 use strassen::probe::timeline::{self, Timeline};
-use strassen::{dgefmm, trace, CutoffCriterion, Scheduler, Scheme, StrassenConfig};
+use strassen::{dgefmm, trace, CutoffCriterion, Scheme, StrassenConfig};
 use testkit::json::Json;
 
 fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
@@ -64,7 +64,6 @@ fn main() {
         parallel_depth: depth,
         ..StrassenConfig::dgefmm()
             .scheme(Scheme::SevenTemp)
-            .scheduler(Scheduler::TaskDag)
             .cutoff(CutoffCriterion::Simple { tau })
             .fused(false)
     };

@@ -10,7 +10,7 @@
 use blas::level3::{gemm, GemmConfig};
 use blas::Op;
 use matrix::{norms, random, Matrix};
-use strassen::{dgefmm, CutoffCriterion, Scheduler, Scheme, StrassenConfig};
+use strassen::{dgefmm, CutoffCriterion, Scheme, StrassenConfig};
 
 /// Pin the pool's worker count before its first use and return the
 /// count actually running. An explicit `set_num_threads` beats the
@@ -188,21 +188,13 @@ fn pool_sizing_is_pin_once() {
 // Bitwise determinism of the parallel path.
 // ---------------------------------------------------------------------
 
-fn seven_temp_run(
-    n: usize,
-    parallel_depth: usize,
-    scheduler: Scheduler,
-    width: usize,
-    fused: bool,
-    seed: u64,
-) -> Matrix<f64> {
+fn seven_temp_run(n: usize, parallel_depth: usize, width: usize, fused: bool, seed: u64) -> Matrix<f64> {
     let cfg = StrassenConfig {
         parallel_depth,
         ..StrassenConfig::dgefmm()
             .scheme(Scheme::SevenTemp)
             .cutoff(CutoffCriterion::Simple { tau: 32 })
             .fused(fused)
-            .scheduler(scheduler)
             .parallel_width(width)
     };
     let a = random::uniform::<f64>(n, n, seed);
@@ -220,28 +212,25 @@ fn seven_temp_run(
 #[test]
 fn seven_temp_is_bitwise_deterministic_run_to_run() {
     let _ = pinned_workers();
-    for scheduler in Scheduler::ALL {
-        for parallel_depth in [0usize, 1, 2, 3] {
-            let first = seven_temp_run(256, parallel_depth, scheduler, usize::MAX, true, 0xD57);
-            for rerun in 0..2 {
-                let again = seven_temp_run(256, parallel_depth, scheduler, usize::MAX, true, 0xD57);
-                assert!(
-                    first.as_slice() == again.as_slice(),
-                    "{scheduler:?} parallel_depth={parallel_depth} rerun {rerun}: results \
-                     differ bitwise (max {} ulps)",
-                    testkit::max_ulp_diff_mat(first.as_ref(), again.as_ref())
-                );
-            }
+    for parallel_depth in [0usize, 1, 2, 3] {
+        let first = seven_temp_run(256, parallel_depth, usize::MAX, true, 0xD57);
+        for rerun in 0..2 {
+            let again = seven_temp_run(256, parallel_depth, usize::MAX, true, 0xD57);
+            assert!(
+                first.as_slice() == again.as_slice(),
+                "parallel_depth={parallel_depth} rerun {rerun}: results differ bitwise (max {} ulps)",
+                testkit::max_ulp_diff_mat(first.as_ref(), again.as_ref())
+            );
         }
     }
 }
 
 /// Serial-vs-parallel determinism, the full PR-7 matrix: for both fused
-/// settings, every scheduler × parallel_depth (0–3) × parallel_width
+/// settings, every task-DAG parallel_depth (1–3) × parallel_width
 /// ({1, 2, 4, ∞}) execution runs the *same* arithmetic in the same order
 /// per element as the serial run, so the results are bitwise identical —
 /// not merely close. Fused kernels stay on the table because kernel
-/// selection (`fused_span`) is deliberately independent of
+/// selection (`fuse_last_level`) is deliberately independent of
 /// `parallel_depth`: a fused leaf inside a parallel region runs inside
 /// its product task instead of changing the plan. Real thread counts
 /// {1, 2, 4} ride the `STRASSEN_THREADS` matrix in verify.sh; the width
@@ -251,18 +240,16 @@ fn seven_temp_is_bitwise_deterministic_run_to_run() {
 fn seven_temp_serial_vs_parallel_bitwise_identical() {
     let _ = pinned_workers();
     for fused in [false, true] {
-        let serial = seven_temp_run(256, 0, Scheduler::TaskDag, usize::MAX, fused, 0x5E7);
-        for scheduler in Scheduler::ALL {
-            for parallel_depth in [1usize, 2, 3] {
-                for width in [1usize, 2, 4, usize::MAX] {
-                    let parallel = seven_temp_run(256, parallel_depth, scheduler, width, fused, 0x5E7);
-                    assert!(
-                        serial.as_slice() == parallel.as_slice(),
-                        "serial vs {scheduler:?} depth={parallel_depth} width={width} \
-                         fused={fused}: results differ bitwise (max {} ulps)",
-                        testkit::max_ulp_diff_mat(serial.as_ref(), parallel.as_ref())
-                    );
-                }
+        let serial = seven_temp_run(256, 0, usize::MAX, fused, 0x5E7);
+        for parallel_depth in [1usize, 2, 3] {
+            for width in [1usize, 2, 4, usize::MAX] {
+                let parallel = seven_temp_run(256, parallel_depth, width, fused, 0x5E7);
+                assert!(
+                    serial.as_slice() == parallel.as_slice(),
+                    "serial vs depth={parallel_depth} width={width} fused={fused}: results differ \
+                     bitwise (max {} ulps)",
+                    testkit::max_ulp_diff_mat(serial.as_ref(), parallel.as_ref())
+                );
             }
         }
     }

@@ -2,11 +2,10 @@
 //! numeric surface on top of `dgefmm`.
 //!
 //! The PR-5/PR-7 pins established that `dgefmm` itself is bitwise
-//! deterministic — serial ≡ parallel at every `parallel_depth`,
-//! scheduler, and in-flight width, run to run. This suite extends the
-//! pin through `serve`: a request's plan is a pure function of its
-//! bucket (frozen tune cache), and batches share no mutable
-//! floating-point state, so per-request results must be bitwise
+//! deterministic — serial ≡ parallel at every `parallel_depth` and
+//! in-flight width, run to run. This suite extends the pin through
+//! `serve`: every request runs the same plan, and batches share no
+//! mutable floating-point state, so per-request results must be bitwise
 //! identical
 //!
 //! - to an **inline replay** of the same plan on the calling thread
@@ -20,7 +19,7 @@
 
 use accuracy::draw_shape;
 use matrix::{random, Matrix};
-use serve::{BucketKey, BucketTuning, MachineProfile, Request, Server, ServerConfig, TuneCache};
+use serve::{Request, Server, ServerConfig};
 use strassen::dgefmm;
 use testkit::Gen;
 
@@ -147,30 +146,5 @@ fn runs_are_bitwise_identical_at_a_fixed_seed() {
     let server = Server::start(ServerConfig::default());
     let again = serve_stream(&server, true);
     assert_bitwise_eq("run-to-run", &again, &first);
-    server.shutdown();
-}
-
-/// A tuned cache with intra-request parallelism (`parallel_depth > 0`)
-/// must serve the same bits as its own inline replay: the serving layer
-/// composes with the task-DAG parallel path without reopening the
-/// determinism pin.
-#[test]
-fn parallel_tuned_buckets_stay_bitwise_deterministic() {
-    let _ = pinned_workers();
-    let mut cache = TuneCache::new(MachineProfile::detect());
-    // Tune every bucket the stream can hit to a parallel two-level plan
-    // with a small cutoff so the DAG really fans out at these sizes.
-    let tuned = BucketTuning { tau: 24, tau_m: 12, tau_k: 12, tau_n: 12, parallel_depth: 2 };
-    let probes: Vec<(usize, usize, usize)> = stream().iter().map(|r| r.dims().unwrap()).collect();
-    for &(m, k, n) in &probes {
-        cache.insert(BucketKey::classify(m, k, n), tuned);
-    }
-    let server = Server::start_with_cache(ServerConfig::default(), cache);
-    for &(m, k, n) in &probes {
-        assert_eq!(server.config_for(m, k, n).parallel_depth, 2, "tuned plan must be in effect");
-    }
-    let want = inline_replay(&server);
-    let got = serve_stream(&server, true);
-    assert_bitwise_eq("parallel-tuned", &got, &want);
     server.shutdown();
 }

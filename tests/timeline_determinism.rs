@@ -4,7 +4,7 @@
 //! to run — but the *structure* of a recorded timeline (which tagged
 //! tasks ran at which recursion level, and which dependency edges were
 //! honored) is fully determined by the configuration. These tests pin
-//! that claim across both schedulers and the parallel-width axis, tie
+//! that claim across the parallel-width axis, tie
 //! the per-level task counts to the analytic `counts::predict` model,
 //! and pin the zeroth law of observability: recording a timeline must
 //! not change a single bit of the numerical result.
@@ -22,7 +22,7 @@ use blas::Op;
 use matrix::{random, Matrix};
 use std::sync::{Mutex, MutexGuard};
 use strassen::probe::timeline::{self, Structure};
-use strassen::{counts, dgefmm, CutoffCriterion, Scheduler, Scheme, StrassenConfig};
+use strassen::{counts, dgefmm, CutoffCriterion, Scheme, StrassenConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -37,12 +37,11 @@ const PARALLEL_DEPTH: usize = 2;
 /// The shared test shape: two parallel seven-temp levels above a τ = 16
 /// cutoff, classic (non-fused) schedules so every parallel level runs a
 /// real DAG instance.
-fn config(scheduler: Scheduler, width: usize) -> StrassenConfig {
+fn config(width: usize) -> StrassenConfig {
     StrassenConfig {
         parallel_depth: PARALLEL_DEPTH,
         ..StrassenConfig::dgefmm()
             .scheme(Scheme::SevenTemp)
-            .scheduler(scheduler)
             .parallel_width(width)
             .cutoff(CutoffCriterion::Simple { tau: TAU })
             .fused(false)
@@ -70,84 +69,69 @@ fn splits_at_level(cfg: &StrassenConfig, level: u32) -> u64 {
     upto(level + 1) - upto(level)
 }
 
-/// Structure is identical run to run, for every scheduler × width
-/// combination, and the per-level tagged-task counts match the analytic
-/// recursion model: the task-DAG scheduler tags all 21 nodes of each
-/// seven-temp instance, the fan-out scheduler tags only the 7 products.
+/// Structure is identical run to run, for every width, and the
+/// per-level tagged-task counts match the analytic recursion model: the
+/// task DAG tags all 21 nodes of each seven-temp instance.
 #[test]
-fn structure_is_deterministic_across_schedulers_and_widths() {
+fn structure_is_deterministic_across_widths() {
     let _guard = serialized();
     let seed = testkit::master_seed();
-    for scheduler in Scheduler::ALL {
-        let tags_per_split: u64 = match scheduler {
-            Scheduler::TaskDag => 21,
-            Scheduler::FanOut => 7,
-        };
-        let mut baseline: Option<Structure> = None;
-        for width in [1, 2, usize::MAX] {
-            let cfg = config(scheduler, width);
-            let s1 = recorded_structure(&cfg, seed);
-            let s2 = recorded_structure(&cfg, seed);
-            assert_eq!(s1, s2, "{scheduler:?} width={width}: structure varies run to run");
+    let mut baseline: Option<Structure> = None;
+    for width in [1, 2, usize::MAX] {
+        let cfg = config(width);
+        let s1 = recorded_structure(&cfg, seed);
+        let s2 = recorded_structure(&cfg, seed);
+        assert_eq!(s1, s2, "width={width}: structure varies run to run");
 
-            // Width throttles how many ready tasks are in flight; it
-            // must not change which tasks exist.
-            match &baseline {
-                None => baseline = Some(s1.clone()),
-                Some(b) => {
-                    assert_eq!(&s1, b, "{scheduler:?} width={width}: structure depends on parallel width")
-                }
-            }
-
-            let mut per_level = std::collections::BTreeMap::new();
-            for (&(level, _node), &count) in &s1.tasks {
-                *per_level.entry(level).or_insert(0u64) += count;
-            }
-            for level in 0..PARALLEL_DEPTH as u32 {
-                let expect = tags_per_split * splits_at_level(&cfg, level);
-                assert_eq!(
-                    per_level.get(&(level as u8)).copied().unwrap_or(0),
-                    expect,
-                    "{scheduler:?} width={width}: level-{level} tagged tasks != {tags_per_split} × splits"
-                );
-            }
-            // Levels at or below the serial frontier never spawn.
-            assert!(per_level.keys().all(|&l| (l as usize) < PARALLEL_DEPTH));
+        // Width throttles how many ready tasks are in flight; it must not
+        // change which tasks exist.
+        match &baseline {
+            None => baseline = Some(s1.clone()),
+            Some(b) => assert_eq!(&s1, b, "width={width}: structure depends on parallel width"),
         }
+
+        let mut per_level = std::collections::BTreeMap::new();
+        for (&(level, _node), &count) in &s1.tasks {
+            *per_level.entry(level).or_insert(0u64) += count;
+        }
+        for level in 0..PARALLEL_DEPTH as u32 {
+            let expect = 21 * splits_at_level(&cfg, level);
+            assert_eq!(
+                per_level.get(&(level as u8)).copied().unwrap_or(0),
+                expect,
+                "width={width}: level-{level} tagged tasks != 21 × splits"
+            );
+        }
+        // Levels at or below the serial frontier never spawn.
+        assert!(per_level.keys().all(|&l| (l as usize) < PARALLEL_DEPTH));
     }
 }
 
 /// The task-DAG structure also records every dependency edge of each
 /// seven-temp instance: 25 per split (4 sum-chain, 8 product←operand,
-/// 13 combine), with the fan-out scheduler recording none.
+/// 13 combine).
 #[test]
 fn taskdag_edge_structure_matches_the_schedule() {
     let _guard = serialized();
     let seed = testkit::master_seed().wrapping_add(17);
-    let dag = recorded_structure(&config(Scheduler::TaskDag, usize::MAX), seed);
-    let total_splits: u64 =
-        (0..PARALLEL_DEPTH as u32).map(|l| splits_at_level(&config(Scheduler::TaskDag, 1), l)).sum();
+    let dag = recorded_structure(&config(usize::MAX), seed);
+    let total_splits: u64 = (0..PARALLEL_DEPTH as u32).map(|l| splits_at_level(&config(1), l)).sum();
     assert_eq!(dag.edges.values().sum::<u64>(), 25 * total_splits);
-
-    let fanout = recorded_structure(&config(Scheduler::FanOut, usize::MAX), seed);
-    assert_eq!(fanout.edges.values().sum::<u64>(), 0, "fan-out has no recorded dependency edges");
 }
 
 /// The zeroth law: recording a timeline is bitwise invisible to the
-/// numerical result, for both schedulers.
+/// numerical result.
 #[test]
 fn tracing_on_is_bitwise_identical_to_tracing_off() {
     let _guard = serialized();
     let seed = testkit::master_seed().wrapping_add(34);
-    for scheduler in Scheduler::ALL {
-        let cfg = config(scheduler, usize::MAX);
-        let plain = multiply(&cfg, seed);
-        let (recorded, tl) = timeline::record(|| multiply(&cfg, seed));
-        assert!(tl.duration_events() > 0, "the bracket must actually have recorded the run");
-        assert!(
-            plain.as_slice() == recorded.as_slice(),
-            "{scheduler:?}: recording perturbed the result (max {} ulps)",
-            testkit::max_ulp_diff_mat(plain.as_ref(), recorded.as_ref())
-        );
-    }
+    let cfg = config(usize::MAX);
+    let plain = multiply(&cfg, seed);
+    let (recorded, tl) = timeline::record(|| multiply(&cfg, seed));
+    assert!(tl.duration_events() > 0, "the bracket must actually have recorded the run");
+    assert!(
+        plain.as_slice() == recorded.as_slice(),
+        "recording perturbed the result (max {} ulps)",
+        testkit::max_ulp_diff_mat(plain.as_ref(), recorded.as_ref())
+    );
 }
