@@ -11,7 +11,10 @@
 //! cutoff criterion (the paper's eqs. 10/11, 12, 7, 15 plus `Never`),
 //! `parallel_depth` (0–3), the task DAG's in-flight width cap, a serial
 //! vs pool-parallel leaf GEMM, fused last-level kernels (through the
-//! shared-panel executor), the base GEMM's cache-blocking class
+//! shared-panel executor, under either leaf backend; the pool-parallel
+//! one splits the fused level's column loop only above the 64³ spawn
+//! threshold, so at the fuzzer's sizes it selects the fused path and
+//! runs it on one thread), the base GEMM's cache-blocking class
 //! ([`BlockingClass`]: auto/tiny/prime/huge), probe installed or
 //! not — runs
 //! [`strassen::dgefmm`] on seeded data, recomputes the product with
@@ -326,6 +329,7 @@ mod tests {
         let mut beta_nonzero = false;
         let mut parallel_leaf = false;
         let mut serial_leaf = false;
+        let mut parallel_fused = false;
         let mut g = Gen::new(0xFEED_FACE, 1.0);
         for _ in 0..300 {
             let c = FuzzCase::draw(&mut g);
@@ -342,6 +346,7 @@ mod tests {
             beta_nonzero |= c.beta != 0.0;
             parallel_leaf |= c.parallel_gemm;
             serial_leaf |= !c.parallel_gemm;
+            parallel_fused |= c.parallel_gemm && c.fused;
             assert!(c.m >= CutoffCriterion::HARD_FLOOR && c.m <= MAX_DIM);
         }
         assert_eq!(variants.len(), 2);
@@ -354,6 +359,7 @@ mod tests {
         assert_eq!(blockings.len(), 4, "auto, tiny, prime, and huge blocking");
         assert!(odd_dims && beta_zero && beta_nonzero);
         assert!(parallel_leaf && serial_leaf, "both leaf-GEMM backends drawn");
+        assert!(parallel_fused, "a fused case on the pool-parallel leaf GEMM drawn");
     }
 
     #[test]

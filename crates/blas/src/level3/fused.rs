@@ -62,7 +62,8 @@
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
 use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
 use super::packbuf::{with_pack_bufs, with_pack_slab};
-use super::{scale_c, GemmConfig};
+use super::parallel::{balanced_quanta, parallel_ways};
+use super::{scale_c, GemmAlgo, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 
@@ -645,6 +646,11 @@ fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slo
 /// overwrites without reading). Blocks no product touches are scaled by
 /// `β` directly.
 ///
+/// `cfg.algo` picks serial or pool-parallel execution: under
+/// [`GemmAlgo::BlockedParallel`] the jc loop splits into balanced
+/// `NR`-quantized column groups, one pool task each, bitwise equal to
+/// the serial nest.
+///
 /// All of `m`, `k`, `n` must be divisible by `g`.
 ///
 /// # Panics
@@ -713,10 +719,86 @@ pub fn gemm_fused_level<T: Scalar>(
         }
     }
 
-    let (mc, kc, nc) = clamp_blocking(cfg, bm, bk, bn);
-    let (a_len, b_len) = panel_lens(mc, kc, nc);
-    let ld = c.ld();
-    let cbase = c.as_mut_ptr();
+    let nest = LevelNest {
+        alpha,
+        beta,
+        a,
+        b,
+        c: CBase(c.as_mut_ptr()),
+        ldc: c.ld(),
+        products,
+        first_touch,
+        g,
+        block: (bm, bk, bn),
+        blocking: clamp_blocking(cfg, bm, bk, bn),
+    };
+    // Thread policy of `gemm_parallel`. Column groups re-partition only
+    // the iteration space (same kc chunking, same product order per
+    // element), which is what keeps them bitwise equal to the serial
+    // nest.
+    let ways = match cfg.algo {
+        GemmAlgo::BlockedParallel => parallel_ways(bm, bk, bn),
+        _ => 1,
+    };
+    // One group runs inline, before `balanced_quanta` allocates: the
+    // serial path stays allocation-free after warm-up.
+    if ways == 1 || bn <= NR {
+        return fused_columns(&nest, 0, bn);
+    }
+    let groups = balanced_quanta(bn.div_ceil(NR), ways);
+    let nest = &nest;
+    pool::scope(|scope| {
+        let mut j0 = 0;
+        for (group, &quanta) in groups.iter().enumerate() {
+            let w = (quanta * NR).min(bn - j0);
+            let tag = pool::ring::tag::gemm_task(0, group as u8);
+            scope.spawn_tagged(None, tag, move || fused_columns(nest, j0, w));
+            j0 += w;
+        }
+    });
+}
+
+/// `C`'s base pointer, shared by the column-group tasks of a parallel
+/// fused level.
+#[derive(Clone, Copy)]
+struct CBase<T>(*mut T);
+
+// SAFETY: the one field is a pointer into C. Every task reads and
+// writes only its own column range of each C block (disjoint by
+// construction in `gemm_fused_level`), so no element is touched through
+// two copies of the pointer; `T: Send` because tasks on other threads
+// write the elements.
+unsafe impl<T: Send> Send for CBase<T> {}
+unsafe impl<T: Send> Sync for CBase<T> {}
+
+/// One fused level's operands, schedule and blocking: everything the
+/// 5-loop nest over a range of block columns needs.
+struct LevelNest<'a, T> {
+    alpha: T,
+    beta: T,
+    a: MatRef<'a, T>,
+    b: MatRef<'a, T>,
+    c: CBase<T>,
+    ldc: usize,
+    products: &'a [BlockProduct],
+    /// First product touching each C block — that touch carries β.
+    first_touch: [usize; MAX_GRID_BLOCKS],
+    g: usize,
+    /// Block dimensions `(m/g, k/g, n/g)`.
+    block: (usize, usize, usize),
+    /// Problem-clamped `(mc, kc, nc)`.
+    blocking: (usize, usize, usize),
+}
+
+/// The nest over columns `j0..j0 + w` of every block (the whole level
+/// when `(j0, w) = (0, n/g)`), with pack panels leased from this
+/// thread's buffer.
+fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
+    let &LevelNest { alpha, beta, a, b, ldc, products, g, .. } = nest;
+    let (bm, bk, bn) = nest.block;
+    let (mc, kc, nc) = nest.blocking;
+    let g2 = g * g;
+    let (a_len, b_len) = panel_lens(mc, kc, nc.min(w.next_multiple_of(NR)));
 
     with_pack_slab::<T, _>((g2 + 1) * (a_len + b_len), |slab| {
         // Slab layout: one pack slot per grid block plus one combination
@@ -725,8 +807,8 @@ pub fn gemm_fused_level<T: Scalar>(
         let (a_slots, comb_a) = a_region.split_at_mut(g2 * a_len);
         let (b_slots, comb_b) = b_region.split_at_mut(g2 * b_len);
 
-        for jc in (0..bn).step_by(nc) {
-            let nb = nc.min(bn - jc);
+        for jc in (j0..j0 + w).step_by(nc) {
+            let nb = nc.min(j0 + w - jc);
             for pc in (0..bk).step_by(kc) {
                 let kb = kc.min(bk - pc);
                 // Which block slots hold current data for this cache block.
@@ -782,19 +864,20 @@ pub fn gemm_fused_level<T: Scalar>(
                             let (dl, q) = p.c.t[t];
                             let q = q as usize;
                             // SAFETY: grid blocks are disjoint, a product
-                            // never lists the same block twice (checked
-                            // above), and the parent view `c` is dormant
-                            // while the block views are live.
+                            // never lists the same block twice (checked in
+                            // `gemm_fused_level`), column groups own
+                            // disjoint columns, and the parent view `c` is
+                            // dormant while the block views are live.
                             let view = unsafe {
                                 MatMut::from_raw_parts(
-                                    cbase.add((q / g) * bm + (q % g) * bn * ld),
+                                    nest.c.0.add((q / g) * bm + ((q % g) * bn + j0) * ldc),
                                     bm,
-                                    bn,
-                                    ld,
+                                    w,
+                                    ldc,
                                 )
                             };
                             let delta = T::from_f64(dl as f64);
-                            if pc == 0 && first_touch[q] == pi {
+                            if pc == 0 && nest.first_touch[q] == pi {
                                 DestSpec::init(view, delta, beta)
                             } else {
                                 DestSpec::update(view, delta)
@@ -802,7 +885,7 @@ pub fn gemm_fused_level<T: Scalar>(
                         };
                         let lc = p.c.len as usize;
                         let run = |dests: &mut [DestSpec<'_, T>]| {
-                            macrokernel_multi(mb, kb, nb, pa, pb, dests, &coeffs[..lc], ic, jc, true);
+                            macrokernel_multi(mb, kb, nb, pa, pb, dests, &coeffs[..lc], ic, jc - j0, true);
                         };
                         match lc {
                             1 => run(&mut [mk(0)]),
@@ -1055,6 +1138,35 @@ mod tests {
             c: BlockTerms::new(&[(1, 0), (-1, 0)]),
         }];
         gemm_fused_level(&cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), &table, 2);
+    }
+
+    #[test]
+    fn parallel_fused_level_is_bitwise_identical_to_serial() {
+        // The column-group split of the pool-parallel nest re-partitions
+        // only the iteration space. Block widths 65 and 97 are not
+        // multiples of NR, so the last group is ragged; the tiny blocking
+        // makes every group span several nc blocks and kc chunks.
+        let _ = pool::set_num_threads(4);
+        let table = strassen_table();
+        let tiny = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
+        for serial in [GemmConfig::blocked(), tiny] {
+            let parallel = GemmConfig { algo: GemmAlgo::BlockedParallel, ..serial };
+            for &(m, k, n) in &[(140usize, 128usize, 130usize), (96, 160, 194)] {
+                for beta in [0.0, -0.7] {
+                    let a = random::uniform::<f64>(m, k, 71);
+                    let b = random::uniform::<f64>(k, n, 72);
+                    let c0 = random::uniform::<f64>(m, n, 73);
+                    let mut want = c0.clone();
+                    gemm_fused_level(&serial, 0.9, a.as_ref(), b.as_ref(), beta, want.as_mut(), &table, 2);
+                    let mut got = c0.clone();
+                    gemm_fused_level(&parallel, 0.9, a.as_ref(), b.as_ref(), beta, got.as_mut(), &table, 2);
+                    assert!(
+                        got.as_slice() == want.as_slice(),
+                        "{m}x{k}x{n} β={beta} {serial:?}: parallel fused level differs from serial"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,17 @@ pub(crate) fn balanced_quanta(quanta: usize, ways: usize) -> Vec<usize> {
 /// parallel gain; run the serial kernel instead. (≈ a 64³ product.)
 const MIN_PARALLEL_FLOPS: usize = 64 * 64 * 64;
 
+/// Workers a pool-parallel nest over an `m x k x n` product should
+/// split across: the pool size, or 1 when the product is too small to
+/// repay the spawn cost. Shared with `gemm_fused_level`.
+pub(crate) fn parallel_ways(m: usize, k: usize, n: usize) -> usize {
+    if m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
+        1
+    } else {
+        pool::current_num_threads().max(1)
+    }
+}
+
 /// `C ← α op(A) op(B) + β C`, jc×ic loops processed in parallel.
 pub fn gemm_parallel<T: Scalar>(
     cfg: &GemmConfig,
@@ -71,8 +82,8 @@ pub fn gemm_parallel<T: Scalar>(
     mut c: MatMut<'_, T>,
 ) {
     let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
-    let threads = pool::current_num_threads().max(1);
-    if threads == 1 || m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
+    let threads = parallel_ways(m, k, n);
+    if threads == 1 {
         return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
     }
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {

@@ -154,7 +154,10 @@ pub struct StrassenConfig {
     /// Run the last recursion level (the one whose seven products are all
     /// leaf GEMMs) through the fused add-pack / multi-destination
     /// write-back kernels instead of the temp-based schedules. Requires
-    /// the blocked serial GEMM kernel; other kernels ignore the flag.
+    /// a blocked GEMM kernel, serial or pool-parallel (the parallel one
+    /// splits the fused nest's column loop, bitwise equal to serial), and
+    /// the ⟨2,2,2⟩ family; the naive kernel and other families ignore
+    /// the flag.
     pub fused: bool,
 }
 
@@ -185,7 +188,16 @@ impl StrassenConfig {
     /// top two recursion levels (49 leaf products — enough independent
     /// tasks for any core count this code targets), and parallel leaf
     /// GEMMs so the nested jc×ic loop parallelism can soak up workers
-    /// the Strassen level leaves idle.
+    /// the Strassen level leaves idle. The last level runs fused, its
+    /// column loop split across the pool.
+    ///
+    /// It carries its own eq.-(15) parameters, `Hybrid { τ = 256,
+    /// τm = τk = τn = 128 }`, measured for the leaf kernel it actually
+    /// runs (EXPERIMENTS.md, Table 2 section): three levels at n = 2048,
+    /// the last of them fused, so the leaf products are 256³. The serial
+    /// default's τ = 64 placeholder would recurse five levels to 64³
+    /// leaves, where the blocked kernel runs at about 60% of its peak
+    /// and the add passes cost more than the multiplies they save.
     ///
     /// Pool sizing is orthogonal: call [`pool::set_num_threads`] (or set
     /// `STRASSEN_THREADS`) before first use; the default is the probed
@@ -193,6 +205,7 @@ impl StrassenConfig {
     pub fn dgefmm_parallel() -> Self {
         Self {
             scheme: Scheme::SevenTemp,
+            cutoff: CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 },
             parallel_depth: 2,
             gemm: GemmConfig::auto_parallel(),
             ..Self::dgefmm()
@@ -355,6 +368,8 @@ mod tests {
         assert_eq!(c.scheme, Scheme::SevenTemp);
         assert_eq!(c.parallel_depth, 2);
         assert_eq!(c.parallel_width, usize::MAX);
+        assert_eq!(c.cutoff, CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 });
+        assert_eq!(crate::planned_depth(&c, 2048, 2048, 2048), 3);
         let c = c.parallel_width(0).parallel_depth(1);
         assert_eq!(c.parallel_width, 1, "width clamps to >= 1");
         assert_eq!(c.parallel_depth, 1);

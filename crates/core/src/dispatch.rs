@@ -20,15 +20,23 @@ use std::time::Instant;
 /// multi-destination kernels: its seven products would all bottom out in
 /// conventional GEMMs anyway (their operands are at or below the cutoff
 /// for *both* β classes, since the fused products are plain GEMMs rather
-/// than `fmm` re-entries), the dimensions are already even, and the
-/// serial blocked kernel — the one the fused driver is built on — is
-/// selected. The decision is a pure function of `cfg` and the problem
-/// shape — deliberately independent of `parallel_depth`, so a parallel
-/// run selects exactly the kernels its serial twin would and
-/// serial ≡ parallel stays bitwise (a fused leaf reached *inside* a
-/// parallel region simply runs inside its product task).
-fn fuse_last_level(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> bool {
-    if !cfg.fused || cfg.gemm.algo != GemmAlgo::Blocked || cfg.family != Family::F222 {
+/// than `fmm` re-entries), the dimensions are already even, and a
+/// blocked kernel — the one the fused kernels are built on — is selected.
+/// Under [`GemmAlgo::BlockedParallel`] the fused nest splits its column
+/// loop across the pool and stays bitwise equal to the serial nest.
+///
+/// The decision is a pure function of `cfg` and the problem shape —
+/// independent of `parallel_depth` and of the serial/parallel kernel
+/// choice, so a parallel run selects exactly the kernels its serial twin
+/// would and serial ≡ parallel stays bitwise (a fused leaf reached
+/// *inside* a parallel region simply runs inside its product task).
+/// [`required_workspace`] consults the same predicate and reserves
+/// nothing for a fused level.
+pub(crate) fn fuse_last_level(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> bool {
+    if !cfg.fused
+        || !matches!(cfg.gemm.algo, GemmAlgo::Blocked | GemmAlgo::BlockedParallel)
+        || cfg.family != Family::F222
+    {
         return false;
     }
     if m % 2 != 0 || k % 2 != 0 || n % 2 != 0 || m == 0 || k == 0 || n == 0 {

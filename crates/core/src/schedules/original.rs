@@ -97,8 +97,11 @@ mod tests {
 
     #[test]
     fn original_construction_one_level() {
-        let cfg =
-            StrassenConfig::dgefmm().variant(Variant::Original).cutoff(CutoffCriterion::Never).max_depth(1);
+        let cfg = StrassenConfig::dgefmm()
+            .variant(Variant::Original)
+            .cutoff(CutoffCriterion::Never)
+            .max_depth(1)
+            .fused(false);
         let (m, k, n) = (10, 6, 8);
         let a = random::uniform::<f64>(m, k, 7);
         let b = random::uniform::<f64>(k, n, 8);

@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn one_level_beta_zero_schedule_is_exactly_winograd() {
-        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1);
+        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1).fused(false);
         let (m, k, n) = (12, 8, 10);
         let a = random::uniform::<f64>(m, k, 1);
         let b = random::uniform::<f64>(k, n, 2);

@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn figure1_schedule_one_level() {
         // One isolated level of the Figure-1 schedule, children on GEMM.
-        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1);
+        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1).fused(false);
         for (alpha, beta) in [(1.0, 1.0), (0.5, -1.5), (2.0, 0.0), (-1.0, 0.25)] {
             let (m, k, n) = (10, 14, 6);
             let a = random::uniform::<f64>(m, k, 1);
@@ -121,7 +121,7 @@ mod tests {
         // The schedule must fit in R1 + R2 + R3 for one level — the
         // minimum the paper proves possible. A one-element shortfall
         // would panic in split_at_mut.
-        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1);
+        let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1).fused(false);
         let (m, k, n) = (8, 12, 16);
         let a = random::uniform::<f64>(m, k, 1);
         let b = random::uniform::<f64>(k, n, 2);

@@ -7,8 +7,16 @@
 //! estimates. If a schedule ever tried to use more than
 //! [`required_workspace`] returns, the split would panic; the test suite
 //! exercises that invariant across shapes and configurations.
+//!
+//! The footprint is exact for fused configurations too: a level that runs
+//! through the fused add-pack kernels draws nothing from the arena, and
+//! [`required_workspace`] asks the dispatcher's own fusion predicate, so
+//! it reserves nothing for that level (the traced high-water mark equals
+//! the requirement for `StrassenConfig::dgefmm()` as for the unfused
+//! schedules).
 
 use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
+use crate::dispatch::fuse_last_level;
 use crate::fastmm::Family;
 
 /// The schedule that will actually execute for a given `β` under a
@@ -107,8 +115,10 @@ fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize
 /// Exact arena elements needed by `dgefmm` for an `(m, k, n)` product
 /// with the given configuration and `β` class.
 ///
-/// Mirrors the dispatch recursion: 0 below the cutoff, otherwise the
-/// current level's temporaries plus the worst-case requirement of its
+/// Mirrors the dispatch recursion: 0 below the cutoff and for a level
+/// that runs fused (checked in the same places `fmm` checks it: on the
+/// problem as given, and again on the peeled or padded core), otherwise
+/// the current level's temporaries plus the worst-case requirement of its
 /// recursive sub-products (which all share, sequentially, the same tail
 /// of the arena — except [`Scheme::SevenTemp`] within `parallel_depth`,
 /// where the seven sub-products need *simultaneous* sub-arenas).
@@ -125,6 +135,11 @@ fn required_at_depth(
     depth: usize,
 ) -> usize {
     if depth >= cfg.max_depth || cfg.criterion_for(beta_zero).should_stop(m, k, n) {
+        return 0;
+    }
+    // A fused level draws nothing from the arena; `fmm` takes that path
+    // before staging, padding or peeling.
+    if fuse_last_level(cfg, m, k, n, depth) {
         return 0;
     }
     let scheme = resolve_scheme(cfg, beta_zero);
@@ -150,6 +165,11 @@ fn required_at_depth(
         );
     }
     let (me, ke, ne) = evenized(cfg, m, k, n);
+    // The peeled core (or padded copy) re-enters `fmm` at the same depth,
+    // where it can take the fused path the odd shape could not.
+    if (me, ke, ne) != (m, k, n) && fuse_last_level(cfg, me, ke, ne, depth) {
+        return 0;
+    }
     let per = per_level_elements(scheme, me, ke, ne);
     let (dm, dk, dn) = family_units(cfg);
     let (m2, k2, n2) = (me / dm, ke / dk, ne / dn);

@@ -254,3 +254,32 @@ fn seven_temp_serial_vs_parallel_bitwise_identical() {
         }
     }
 }
+
+/// The benchmark's serial twin is the same program as the timed run:
+/// `dgefmm_parallel()` and `dgefmm_parallel().parallel_depth(0)` with
+/// the serial 5-loop GEMM select the same kernels at every node
+/// (including the fused last level, which the parallel leaf kernel runs
+/// with its column loop split across the pool) and agree bitwise. Covers
+/// n = 1024 at β = 0 (two task-DAG levels above a fused level) and an
+/// odd rectangular shape at β = 0.5 (peel, then a fused level at the
+/// root).
+#[test]
+fn parallel_preset_equals_its_serial_twin_bitwise() {
+    let _ = pinned_workers();
+    let cfg = StrassenConfig::dgefmm_parallel();
+    let twin = cfg.parallel_depth(0).gemm(GemmConfig::auto());
+    for &(m, k, n, beta) in &[(1024usize, 1024usize, 1024usize, 0.0), (515, 389, 453, 0.5)] {
+        let a = random::uniform::<f64>(m, k, 0x7A1);
+        let b = random::uniform::<f64>(k, n, 0x7A2);
+        let c0 = random::uniform::<f64>(m, n, 0x7A3);
+        let mut got = c0.clone();
+        dgefmm(&cfg, 0.75, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), beta, got.as_mut());
+        let mut want = c0.clone();
+        dgefmm(&twin, 0.75, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), beta, want.as_mut());
+        assert!(
+            got.as_slice() == want.as_slice(),
+            "{m}x{k}x{n} β={beta}: dgefmm_parallel differs from its serial twin (max {} ulps)",
+            testkit::max_ulp_diff_mat(got.as_ref(), want.as_ref())
+        );
+    }
+}

@@ -9,9 +9,10 @@
 //! the dispatcher and the Section 2 model (a miscounted pass, a wrong
 //! quadrant size, an extra copy) shows up as an off-by-`mn` failure here.
 //!
-//! All comparisons run with `fused(false)`: the model mirrors the classic
-//! temp-based schedules, and the fused kernels restructure the last level
-//! (see `strassen::counts::predict`).
+//! The flop and counter comparisons run with `fused(false)`: the model
+//! mirrors the classic temp-based schedules, and the fused kernels
+//! restructure the last level (see `strassen::counts::predict`). The
+//! workspace high-water checks also cover the fused library presets.
 
 use matrix::{random, Matrix};
 use opcount::memory::{strassen1_bound, strassen2_bound};
@@ -216,6 +217,26 @@ fn high_water_auto_rectangular() {
         let tr = traced_run(&cfg, 96, 160, 64, beta);
         let need = required_workspace(&cfg, 96, 160, 64, beta_zero);
         assert_eq!(tr.ws_high_water, need, "beta={beta}");
+    }
+}
+
+/// The library presets, whose last level runs fused: the arena draws
+/// nothing for a fused level, and `required_workspace` reserves nothing
+/// for it, so high-water equals the requirement exactly for both β
+/// classes — on an even cube, a shape below the cutoff, and an odd shape
+/// whose peeled core takes the fused path.
+#[test]
+fn high_water_fused_presets() {
+    for (label, cfg) in
+        [("dgefmm", StrassenConfig::dgefmm()), ("dgefmm_parallel", StrassenConfig::dgefmm_parallel())]
+    {
+        for &(m, k, n) in &[(96usize, 160usize, 64usize), (512, 512, 512), (257, 129, 193)] {
+            for (beta, beta_zero) in [(0.0, true), (1.0, false)] {
+                let tr = traced_run(&cfg, m, k, n, beta);
+                let need = required_workspace(&cfg, m, k, n, beta_zero);
+                assert_eq!(tr.ws_high_water, need, "{label} {m}x{k}x{n} beta={beta}");
+            }
+        }
     }
 }
 

@@ -20,12 +20,17 @@
 use accuracy::draw_shape;
 use matrix::random;
 use serve::{Request, Server, ServerConfig, Ticket};
-use strassen::workspace_elements;
+use strassen::{planned_depth, workspace_elements};
 use testkit::Gen;
 
 const SOAK_SEED: u64 = 0x50AC_BEEF;
 const ROUNDS: usize = 8;
 const PER_ROUND: usize = 96;
+/// Shapes that recurse two levels under the served plan. Drawn shapes
+/// stay at most 80 and recurse at most one level, which runs fused and
+/// draws no workspace; these keep real temporaries in the stream.
+const TWO_LEVEL: [(usize, usize, usize); 4] =
+    [(130, 130, 130), (200, 180, 240), (259, 131, 197), (256, 256, 256)];
 
 fn shapes(count: usize, g: &mut Gen) -> Vec<(usize, usize, usize)> {
     (0..count).map(|_| draw_shape(g)).collect()
@@ -50,7 +55,12 @@ fn sustained_load_is_arena_stable_starvation_free_and_drains() {
     // The whole campaign's shape list, drawn up front so the Table-1
     // arena ceiling — and the shape that attains it — are known before
     // any load runs.
-    let campaign: Vec<Vec<(usize, usize, usize)>> = (0..ROUNDS).map(|_| shapes(PER_ROUND, &mut g)).collect();
+    let mut campaign: Vec<Vec<(usize, usize, usize)>> =
+        (0..ROUNDS).map(|_| shapes(PER_ROUND, &mut g)).collect();
+    for &(m, k, n) in &TWO_LEVEL {
+        assert_eq!(planned_depth(&server.config_for(m, k, n), m, k, n), 2, "{m}x{k}x{n}");
+    }
+    campaign.push(TWO_LEVEL.to_vec());
     let (mut ceiling, mut worst) = (0, (1, 1, 1));
     for &(m, k, n) in campaign.iter().flatten() {
         let need = workspace_elements(&server.config_for(m, k, n), m, k, n, true);
