@@ -21,10 +21,13 @@
 //! [`super::params`] for the machine-derived defaults) and are clamped
 //! to the problem shape, so small multiplies lease proportionally small
 //! pack buffers ([`super::packbuf`]) and steady-state calls allocate
-//! nothing.
+//! nothing. Small `f64` products on AVX-512 parts skip packing
+//! altogether: [`gemm_blocked`] hands them to the unpacked tier in
+//! [`super::small`], which is bitwise equal to this nest.
 
 use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
 use super::packbuf::with_pack_bufs;
+use super::small;
 use super::{check_gemm_dims, scale_c, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
@@ -220,16 +223,42 @@ pub(crate) fn panel_lens(mc: usize, kc: usize, nc: usize) -> (usize, usize) {
 }
 
 /// Pack-buffer requirement (in elements of the destination type) of one
-/// [`gemm_blocked`] call at shape `m x k x n`: `(A-panel, B-panel)`
-/// lengths after problem clamping. Exposed for the Table-1 memory
-/// accounting tests.
+/// `f64` `NoTrans` [`gemm_blocked`] call at shape `m x k x n`:
+/// `(A-panel, B-panel)` lengths after problem clamping, or `(0, 0)` when
+/// the shape runs on the unpacked small tier and leases nothing. Exposed
+/// for the Table-1 memory accounting tests.
 pub fn gemm_pack_elements(cfg: &GemmConfig, m: usize, k: usize, n: usize) -> (usize, usize) {
+    if small::shape_fits(m, k, n) {
+        return (0, 0);
+    }
     let (mc, kc, nc) = clamp_blocking(cfg, m, k, n);
     panel_lens(mc, kc, nc)
 }
 
-/// `C ← α op(A) op(B) + β C` with cache blocking and packing.
+/// `C ← α op(A) op(B) + β C` with cache blocking and packing — or, for
+/// small `f64` `NoTrans` products on AVX-512 parts, the unpacked tier in
+/// `level3/small.rs`, whose results are bitwise equal to the nest's.
 pub fn gemm_blocked<T: Scalar>(
+    cfg: &GemmConfig,
+    alpha: T,
+    op_a: Op,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
+    if alpha != T::ZERO && m.min(k).min(n) > 0 && small::takes::<T>(op_a, op_b, m, k, n) {
+        let (_, kc, _) = clamp_blocking(cfg, m, k, n);
+        return small::gemm_small(alpha, a, b, beta, c, kc);
+    }
+    gemm_packed(cfg, alpha, op_a, a, op_b, b, beta, c);
+}
+
+/// The packed 5-loop nest itself, whatever the shape — the reference
+/// the small tier is pinned against.
+pub(crate) fn gemm_packed<T: Scalar>(
     cfg: &GemmConfig,
     alpha: T,
     op_a: Op,

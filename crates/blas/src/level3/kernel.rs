@@ -212,7 +212,7 @@ pub fn kernel_class() -> KernelClass {
 
 /// True when `T` is `f64` (the only type with specialized kernels).
 #[inline(always)]
-fn is_f64<T: Scalar>() -> bool {
+pub(crate) fn is_f64<T: Scalar>() -> bool {
     core::any::TypeId::of::<T>() == core::any::TypeId::of::<f64>()
 }
 

@@ -14,6 +14,7 @@ mod naive;
 mod packbuf;
 mod parallel;
 pub mod params;
+mod small;
 pub mod symm;
 pub mod syrk;
 pub mod trsm;

@@ -124,8 +124,31 @@ pub struct Completed {
 
 #[derive(Debug)]
 struct TicketShared {
-    slot: Mutex<Option<Completed>>,
+    slot: Mutex<Slot>,
     done: Condvar,
+}
+
+/// A ticket's completion slot. `waiting` is set under the mutex by a
+/// [`Ticket::wait`] about to park, so the completing worker notifies only
+/// when someone is parked: a waiter either sees the result before it
+/// parks or has set the flag before the worker takes the lock.
+#[derive(Debug, Default)]
+struct Slot {
+    result: Option<Completed>,
+    waiting: bool,
+}
+
+impl TicketShared {
+    /// Store the result and wake the waiter if it parked.
+    fn fulfil(&self, done: Completed) {
+        let mut slot = self.slot.lock().unwrap();
+        slot.result = Some(done);
+        let parked = slot.waiting;
+        drop(slot);
+        if parked {
+            self.done.notify_all();
+        }
+    }
 }
 
 /// Handle to one in-flight request. Blocks on [`Ticket::wait`]; the
@@ -141,16 +164,17 @@ impl Ticket {
     pub fn wait(self) -> Completed {
         let mut slot = self.shared.slot.lock().unwrap();
         loop {
-            if let Some(done) = slot.take() {
+            if let Some(done) = slot.result.take() {
                 return done;
             }
+            slot.waiting = true;
             slot = self.shared.done.wait(slot).unwrap();
         }
     }
 
     /// The result if already served (non-blocking).
     pub fn try_take(&self) -> Option<Completed> {
-        self.shared.slot.lock().unwrap().take()
+        self.shared.slot.lock().unwrap().result.take()
     }
 }
 
@@ -243,6 +267,9 @@ struct QueueState {
     queue: VecDeque<PendingReq>,
     paused: bool,
     shutting_down: bool,
+    /// The dispatcher is parked on `dispatch_cv` (set and cleared by the
+    /// dispatcher under this lock), so admission notifies only then.
+    dispatcher_parked: bool,
     /// Next per-bucket admission sequence numbers.
     next_seq: BTreeMap<BucketKey, u64>,
 }
@@ -273,6 +300,7 @@ impl Server {
                 queue: VecDeque::new(),
                 paused: false,
                 shutting_down: false,
+                dispatcher_parked: false,
                 next_seq: BTreeMap::new(),
             }),
             dispatch_cv: Condvar::new(),
@@ -347,7 +375,7 @@ impl Server {
         let seq_slot = state.next_seq.entry(bucket).or_insert(0);
         let seq = *seq_slot;
         *seq_slot += 1;
-        let shared = Arc::new(TicketShared { slot: Mutex::new(None), done: Condvar::new() });
+        let shared = Arc::new(TicketShared { slot: Mutex::new(Slot::default()), done: Condvar::new() });
         state.queue.push_back(PendingReq {
             req,
             dims,
@@ -358,7 +386,9 @@ impl Server {
             ticket: Arc::clone(&shared),
         });
         self.inner.stats.lock().unwrap().submitted += 1;
-        self.inner.dispatch_cv.notify_all();
+        if state.dispatcher_parked {
+            self.inner.dispatch_cv.notify_all();
+        }
         Ticket { shared }
     }
 
@@ -439,7 +469,9 @@ fn dispatcher_loop(inner: &Inner) {
                 if !state.paused && !state.queue.is_empty() {
                     break;
                 }
+                state.dispatcher_parked = true;
                 state = inner.dispatch_cv.wait(state).unwrap();
+                state.dispatcher_parked = false;
             }
             form_cycle(&mut state, inner.cfg.max_batch.max(1))
         };
@@ -501,8 +533,10 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
     }
     let cap = inner.cfg.bucket_in_flight_cap.max(1);
     let cfg = StrassenConfig::dgefmm();
+    // Bucket labels are formatted once per cycle, outside the stats lock.
+    let labels: Vec<String> = cycle.batches.keys().map(BucketKey::label).collect();
     let mut dag = DagBuilder::new();
-    for (ordinal, batch) in cycle.batches.into_values().enumerate() {
+    for ((ordinal, batch), label) in cycle.batches.into_values().enumerate().zip(&labels) {
         let batch_size = batch.len();
         let mut node_ids: Vec<usize> = Vec::with_capacity(batch_size);
         for (j, pending) in batch.into_iter().enumerate() {
@@ -511,7 +545,7 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
             // requests are in flight at once.
             let deps: Vec<usize> = if j >= cap { vec![node_ids[j - cap]] } else { Vec::new() };
             let id = dag.node(Some(ordinal), &deps, move || {
-                serve_one(inner, &cfg, pending, batch_size);
+                serve_one(inner, &cfg, pending, batch_size, label);
             });
             node_ids.push(id);
         }
@@ -519,8 +553,10 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
     dag.run(inner.cfg.global_width);
 }
 
-/// Run one request's product and fulfill its ticket.
-fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: usize) {
+/// Run one request's product and fulfill its ticket. `label` is the
+/// bucket's [`BucketKey::label`]; the stats update allocates only the
+/// first time a bucket or thread appears.
+fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: usize, label: &str) {
     let PendingReq { req, dims: (m, k, n), bucket, submitted, wait_cycles, ticket, .. } = pending;
     let queue_ns = submitted.elapsed().as_nanos() as u64;
     let exec_start = Instant::now();
@@ -533,17 +569,25 @@ fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: us
         let mut stats = inner.stats.lock().unwrap();
         stats.completed += 1;
         serve_seq = stats.completed;
-        *stats.per_bucket.entry(bucket.label()).or_insert(0) += 1;
+        match stats.per_bucket.get_mut(label) {
+            Some(count) => *count += 1,
+            None => {
+                stats.per_bucket.insert(label.to_owned(), 1);
+            }
+        }
         stats.flops += 2.0 * m as f64 * k as f64 * n as f64;
         stats.exec_ns += exec_ns;
         let thread = std::thread::current();
-        let name = thread.name().unwrap_or("unnamed").to_string();
-        let high = stats.arena_high_water.entry(name).or_insert(0);
-        *high = (*high).max(tls_arena_capacity_elements::<f64>());
+        let name = thread.name().unwrap_or("unnamed");
+        let arena = tls_arena_capacity_elements::<f64>();
+        match stats.arena_high_water.get_mut(name) {
+            Some(high) => *high = (*high).max(arena),
+            None => {
+                stats.arena_high_water.insert(name.to_owned(), arena);
+            }
+        }
     }
-    let done = Completed { c, bucket, wait_cycles, queue_ns, exec_ns, latency_ns, batch, serve_seq };
-    *ticket.slot.lock().unwrap() = Some(done);
-    ticket.done.notify_all();
+    ticket.fulfil(Completed { c, bucket, wait_cycles, queue_ns, exec_ns, latency_ns, batch, serve_seq });
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== 1/19 offline release build =="
+echo "== 1/20 offline release build =="
 cargo build --release --offline
 
-echo "== 2/19 offline test suite (pinned-thread matrix) =="
+echo "== 2/20 offline test suite (pinned-thread matrix) =="
 # The full suite — every crate's unit tests plus the root package's
 # integration tests and doc-tests (the workspace's `default-members`
 # covers all of them) — under both ends of the thread matrix: a
@@ -19,31 +19,43 @@ echo "== 2/19 offline test suite (pinned-thread matrix) =="
 STRASSEN_THREADS=1 cargo test -q --offline
 STRASSEN_THREADS=4 cargo test -q --offline
 
-echo "== 3/19 bench targets compile (offline) =="
+echo "== 3/20 bench targets compile (offline) =="
 cargo build --release --offline -p strassen-bench --benches --bins
 
-echo "== 4/19 benchmark package builds and passes its tests =="
+echo "== 4/20 benchmark package builds and passes its tests =="
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so no step above builds it. This catches a change to the
 # public API of `serve` or `strassen` that would break it.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 5/19 clippy (deny warnings) =="
+echo "== 5/20 AddressSanitizer over the unsafe GEMM kernels (nightly) =="
+# The blas unit tests (micro-kernels, packers, the unpacked small tier's
+# masked loads and stores, the pack-buffer lease) and the kernel
+# conformance suite under ASan. A mask one lane too wide in the small
+# tier reads or writes past a view's last column and fails here as a
+# heap-buffer-overflow. Own target directory: the sanitized build must
+# not mix with the release artifacts above.
+ASAN=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
+    cargo +nightly test --offline -q --target x86_64-unknown-linux-gnu)
+"${ASAN[@]}" -p strassen-blas --lib
+"${ASAN[@]}" -p strassen-repro --test kernel_conformance
+
+echo "== 6/20 clippy (deny warnings) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== 6/19 rustfmt check =="
+echo "== 7/20 rustfmt check =="
 cargo fmt --check
 
-echo "== 7/19 rustdoc (deny warnings) =="
+echo "== 8/20 rustdoc (deny warnings) =="
 # cargo doc reuses cached rustdoc output even when RUSTDOCFLAGS would now
 # fail it; touch the crate roots so every crate is re-documented.
 touch crates/*/src/lib.rs src/lib.rs
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== 8/19 doc-tests =="
+echo "== 9/20 doc-tests =="
 cargo test --doc --workspace -q --offline
 
-echo "== 9/19 profile report (staleness gate + live run + schema validation) =="
+echo "== 10/20 profile report (staleness gate + live run + schema validation) =="
 # First the staleness gate: the committed artifacts must match the
 # structural fingerprint (schema, sections, exact flop totals, phase
 # labels, timeline task/edge structure, folded frame set) of a fresh
@@ -58,7 +70,7 @@ grep -q '"timeline":' results/profile_report.json
 grep -q '^dgefmm' results/profile_report.folded
 echo "profile_report artifacts validated"
 
-echo "== 10/19 execution timeline (record + strict re-parse + overhead gate) =="
+echo "== 11/20 execution timeline (record + strict re-parse + overhead gate) =="
 # Records a parallel task-DAG run into the per-worker event rings and
 # exports it as Chrome trace JSON. The example is its own acceptance
 # check: the export re-parses with the strict testkit parser, every
@@ -68,14 +80,14 @@ echo "== 10/19 execution timeline (record + strict re-parse + overhead gate) =="
 # hosts).
 cargo run --release --offline --example timeline_trace -- --n 512 --depth 2 | tail -n 3
 
-echo "== 11/19 algorithm catalog regeneration gate =="
+echo "== 12/20 algorithm catalog regeneration gate =="
 # ALGORITHMS.md's generated tables must match what the live coefficient
 # tables, compiled schedules, and trace probe produce, byte for byte;
 # the example also re-asserts traced flops == the generalized opcount
 # recurrence and high-water == the analytic requirement while rendering.
 cargo run --release --offline --example algorithm_catalog -- --check
 
-echo "== 12/19 differential fuzz campaign (pinned 256 cases) =="
+echo "== 13/20 differential fuzz campaign (pinned 256 cases) =="
 # The config-space fuzzer: 256 cases at a pinned master seed, every case
 # a full random DGEFMM configuration (shape incl. odd/prime, α/β,
 # transposes, variant, schedule incl. the BDPZ pair, ⟨m,k,n⟩ family,
@@ -87,7 +99,7 @@ FUZZ_ITERS=256 TESTKIT_SEED=0xD1CE5EED \
     cargo test -q --offline --test fuzz_differential differential_fuzz_campaign
 echo "fuzz campaign: 256/256 cases within the theoretical envelope"
 
-echo "== 13/19 bench smoke (fast functional pass) =="
+echo "== 14/20 bench smoke (fast functional pass) =="
 # Keep the pre-run smoke artifact around as the baseline for the
 # trajectory diff below (the file is committed, so it reflects the
 # last recorded run of this machine profile).
@@ -106,7 +118,7 @@ grep -q '"utilization":' BENCH_PR7.smoke.json
 grep -q '"gates":' BENCH_PR7.smoke.json
 echo "bench smoke: BENCH_PR7.smoke.json written with utilization telemetry"
 
-echo "== 14/19 bench trajectory diff (baseline smoke vs fresh smoke) =="
+echo "== 15/20 bench trajectory diff (baseline smoke vs fresh smoke) =="
 # The differ joins the two runs on (bench, n), reports per-shape
 # GFLOP/s ratios with per-bench and overall geometric means, and flags
 # regressions beyond the threshold. Smoke runs are functional, not
@@ -119,7 +131,7 @@ else
     echo "no committed smoke baseline; skipping diff"
 fi
 
-echo "== 15/19 serving layer at 2 workers (admission + determinism + soak) =="
+echo "== 16/20 serving layer at 2 workers (admission + determinism + soak) =="
 # Step 2 already ran the serve suites at 1 and 4 workers; this completes
 # the {1, 2, 4} matrix for the serving layer specifically. The
 # determinism suite's inline-replay anchor is worker-count independent,
@@ -129,7 +141,7 @@ STRASSEN_THREADS=2 cargo test -q --offline \
     --test serve_admission --test serve_determinism --test serve_soak
 echo "serving suites passed at 2 workers"
 
-echo "== 16/19 serving load smoke (1e5 requests) + trajectory diff =="
+echo "== 17/20 serving load smoke (1e5 requests) + trajectory diff =="
 # The deterministic load generator end to end at smoke scale: 100 000
 # mixed-shape requests through the batching server with backpressure
 # (zero shed), latency percentiles and per-bucket throughput into
@@ -151,7 +163,7 @@ else
 fi
 echo "serve smoke: BENCH_PR10.smoke.json written with latency percentiles"
 
-echo "== 17/19 determinism spot-check at 2 workers =="
+echo "== 18/20 determinism spot-check at 2 workers =="
 # The thread matrix in step 2 covers 1 and 4 workers; this completes the
 # {1, 2, 4} set from the PR-7 acceptance criteria with the bitwise
 # determinism suite at a 2-worker pool. (parallel_smoke's pool pin
@@ -161,7 +173,7 @@ echo "== 17/19 determinism spot-check at 2 workers =="
 STRASSEN_THREADS=2 cargo test -q --offline --test parallel_smoke bitwise
 echo "determinism suite passed at 2 workers"
 
-echo "== 18/19 rectangular-family smoke at 4 workers =="
+echo "== 19/20 rectangular-family smoke at 4 workers =="
 # Every ⟨m,k,n⟩ family plus both BDPZ schedules on a rectangular
 # 33×40×27 problem, serial vs parallel_depth=2 bitwise, with a real
 # 4-worker pool underneath — families resolve to the serial compiled
@@ -170,7 +182,7 @@ STRASSEN_THREADS=4 cargo test -q --offline --test family_engine \
     serial_parallel_bitwise_identical_across_new_axes
 echo "family smoke: serial == parallel across families and schedules at 4 workers"
 
-echo "== 19/19 dependency audit: workspace-only graph =="
+echo "== 20/20 dependency audit: workspace-only graph =="
 # Every package in the resolved graph must live under this repository;
 # a single registry/git dependency would appear without the (path) suffix.
 tree_out="$(cargo tree --workspace --edges normal,build,dev --prefix none --offline)"

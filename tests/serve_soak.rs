@@ -16,10 +16,17 @@
 //!    stay under the worst backlog the test ever created.
 //! 3. **Graceful drain.** Shutdown serves every admitted ticket; the
 //!    final counters balance exactly.
+//!
+//! A second test stresses the completion path: tickets waited on the
+//! moment they are issued, on a live and on a paused-then-resumed
+//! server, must all complete (no lost wakeup).
 
 use accuracy::draw_shape;
 use matrix::random;
 use serve::{Request, Server, ServerConfig, Ticket};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::Barrier;
+use std::time::Duration;
 use strassen::{planned_depth, workspace_elements};
 use testkit::Gen;
 
@@ -145,4 +152,68 @@ fn sustained_load_is_arena_stable_starvation_free_and_drains() {
     assert_eq!(final_stats.rejected_full, 0, "soak never overran its queue");
     let served: u64 = final_stats.per_bucket.values().sum();
     assert_eq!(served, final_stats.completed, "per-bucket counters must partition completions");
+}
+
+/// Requests the lost-wakeup test submits and waits on one at a time.
+const WAKEUPS: usize = 1000;
+/// Pause/resume rounds, and tickets parked on per round.
+const PAUSED_ROUNDS: usize = 8;
+const PARKED: usize = 8;
+
+/// The completion path notifies a ticket only when its waiter has
+/// parked, and the dispatcher only when it has parked. Waiting on every
+/// ticket the moment it is issued makes both park on nearly every
+/// request, so a missed notify would stall this test: the watchdog turns
+/// a stall into a failure instead of a hang.
+#[test]
+fn immediate_waits_never_lose_a_wakeup() {
+    let _ = pool::pin_once(4);
+    let (done_tx, done_rx) = channel();
+    let stress = std::thread::spawn(move || {
+        let mut g = Gen::new(SOAK_SEED ^ 0x5EED, 1.0);
+        let server = Server::start(ServerConfig::default());
+        // Live server: the dispatcher drains the queue and parks before
+        // the next submission, and the waiter usually parks before its
+        // result lands.
+        for _ in 0..WAKEUPS {
+            let (m, k, n) = draw_shape(&mut g);
+            let done = submit_shape(&server, (m, k, n), &mut g).wait();
+            assert_eq!((done.c.nrows(), done.c.ncols()), (m, n));
+        }
+        // Paused, then resumed: waiters park on tickets the dispatcher
+        // cannot serve yet, and the resume releases them all at once.
+        for _ in 0..PAUSED_ROUNDS {
+            server.pause();
+            let tickets: Vec<Ticket> =
+                shapes(PARKED, &mut g).into_iter().map(|s| submit_shape(&server, s, &mut g)).collect();
+            let start = Barrier::new(PARKED + 1);
+            std::thread::scope(|scope| {
+                for ticket in tickets {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        ticket.wait()
+                    });
+                }
+                start.wait();
+                server.resume();
+            });
+        }
+        let stats = server.shutdown();
+        done_tx.send((stats.submitted, stats.completed)).expect("the test thread is listening");
+    });
+    match done_rx.recv_timeout(Duration::from_secs(120)) {
+        Ok((submitted, completed)) => {
+            stress.join().expect("stress thread finished");
+            assert_eq!(submitted, (WAKEUPS + PAUSED_ROUNDS * PARKED) as u64);
+            assert_eq!(completed, submitted, "every admitted request completes");
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no completion for 120 s: a ticket or the dispatcher missed its wakeup")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            // The stress thread panicked; surface its message.
+            stress.join().expect("stress thread panicked");
+        }
+    }
 }

@@ -208,6 +208,9 @@ fn strassen_products() -> [BlockProduct; 7] {
 /// B panel at the problem-clamped blocking — capacity equals the
 /// analytic requirement plus alignment slack, for comfortable and for
 /// degenerate blocking parameters alike (f64: one element per word).
+/// Shapes the unpacked small tier takes report `(0, 0)` and must lease
+/// nothing at all; `(200, 65, 97)` exceeds the tier's bound, so every
+/// config keeps at least one shape that packs.
 #[test]
 fn gemm_pack_buffer_capacity_is_exact() {
     for cfg in [
@@ -215,16 +218,19 @@ fn gemm_pack_buffer_capacity_is_exact() {
         GemmConfig { mc: 3, kc: 5, nc: 7, ..GemmConfig::blocked() },
         GemmConfig { mc: 4096, kc: 4096, nc: 4096, ..GemmConfig::blocked() },
     ] {
-        for (m, k, n) in [(64, 48, 80), (129, 65, 97), (7, 3, 5)] {
+        let mut packed = 0;
+        for (m, k, n) in [(64, 48, 80), (129, 65, 97), (7, 3, 5), (200, 65, 97)] {
+            let (a_len, b_len) = gemm_pack_elements(&cfg, m, k, n);
+            let expect = if (a_len, b_len) == (0, 0) { 0 } else { a_len + b_len + PACK_SLACK_WORDS };
+            packed += usize::from(expect > 0);
             std::thread::spawn(move || {
                 let a = random::uniform::<f64>(m, k, 1);
                 let b = random::uniform::<f64>(k, n, 2);
                 let mut c = Matrix::<f64>::zeros(m, n);
                 gemm_blocked(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
-                let (a_len, b_len) = gemm_pack_elements(&cfg, m, k, n);
                 assert_eq!(
                     pack_buf_capacity_words(),
-                    a_len + b_len + PACK_SLACK_WORDS,
+                    expect,
                     "{m}x{k}x{n} mc={} kc={} nc={}",
                     cfg.mc,
                     cfg.kc,
@@ -234,6 +240,7 @@ fn gemm_pack_buffer_capacity_is_exact() {
             .join()
             .unwrap();
         }
+        assert!(packed >= 1, "no shape exercised the packed nest under {cfg:?}");
     }
 }
 
