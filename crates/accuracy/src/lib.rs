@@ -26,8 +26,8 @@
 //!   and shrinks failures to a minimal reproducer with a replayable
 //!   seed.
 //!
-//! This crate is a **test-only** dependency: `scripts/bench_quick.sh`
-//! audits that no hot-path crate links it.
+//! This crate is a **test-only** dependency: the dependency-audit step of
+//! `scripts/verify.sh` checks that no hot-path crate links it.
 
 #![warn(missing_docs)]
 

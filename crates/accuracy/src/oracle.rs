@@ -65,7 +65,7 @@ pub fn dot2(pairs: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
 /// Cost is Θ(mkn) scalar flops with a ~25× constant over a naive
 /// triple loop and no blocking — this routine exists to be *right*, not
 /// fast, and must never be linked into the multiply hot path
-/// (`scripts/bench_quick.sh` audits that).
+/// (the dependency-audit step of `scripts/verify.sh` checks that).
 pub fn gemm_oracle(
     alpha: f64,
     op_a: blas::Op,

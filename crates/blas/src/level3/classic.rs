@@ -8,14 +8,10 @@
 //! fold into the first rank update, no paired-panel micro-kernel
 //! dispatch, no clamping of the blocking to the problem shape.
 //!
-//! It exists for two reasons:
-//!
-//! * **benchmark baseline** — `BENCH_PR6.json`'s regression gates are
-//!   ratios of the new [`super::gemm_blocked`] (and of `dgefmm`) against
-//!   this function, measured in the same process;
-//! * **conformance reference** — the rewrite is a pure reorganization,
-//!   so `tests/kernel_conformance.rs` pins the new kernel to this one
-//!   *bitwise* (for β ≠ 0 paths; see the test for the `-0.0` caveat).
+//! It exists as a **conformance reference**: the rewrite is a pure
+//! reorganization, so `tests/kernel_conformance.rs` pins the new kernel
+//! to this one *bitwise* (for β ≠ 0 paths; see the test for the `-0.0`
+//! caveat).
 //!
 //! It is deliberately not reachable from [`super::GemmConfig`]: nothing
 //! in the library dispatches here.

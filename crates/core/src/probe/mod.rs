@@ -8,7 +8,9 @@
 //! every method is empty, and the dispatcher consults a thread-local
 //! `active` flag before constructing any event, so with no probe
 //! installed the hot path pays one branch per kernel call and nothing
-//! else (`bench_quick` guards this at ≤ 1% on the n = 512 target).
+//! else. The budget for that branch is ≤ 1%, and no check enforces it;
+//! the benchmark's `strassen.trace_overhead` row reports what an
+//! installed [`TimedProbe`] costs on top of it.
 //!
 //! Install a probe for the duration of a closure with
 //! [`crate::trace::with_probe`], or use [`crate::trace::capture`] to
@@ -247,8 +249,8 @@ pub trait Probe: std::any::Any {
 /// The do-nothing probe: every event is dropped.
 ///
 /// Installing it exercises the full event-construction path without
-/// recording anything — `bench_quick` uses it to measure the seam's
-/// worst-case overhead.
+/// recording anything, which makes it the probe to time when measuring
+/// the seam's worst-case overhead.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopProbe;
 

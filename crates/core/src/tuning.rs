@@ -453,137 +453,6 @@ pub fn tune_report(
     TuningReport { params, reps, square, rect_m, rect_k, rect_n }
 }
 
-/// One serial-vs-parallel comparison of full DGEFMM at a single order,
-/// with the pool telemetry that explains the ratio. Produced by
-/// [`measure_parallel_speedup`]; the bench harness turns `speedup` and
-/// `utilization` into its PR-7 acceptance gates.
-#[derive(Clone, Debug)]
-pub struct ParallelSpeedup {
-    /// Square order measured.
-    pub n: usize,
-    /// Pool workers during the parallel arm.
-    pub workers: usize,
-    /// Median seconds of the serial arm (`parallel_depth = 0`, serial
-    /// leaf GEMMs).
-    pub serial_s: f64,
-    /// Median seconds of the parallel arm.
-    pub parallel_s: f64,
-    /// `serial_s / parallel_s`.
-    pub speedup: f64,
-    /// Mean busy fraction of the pool workers over the parallel arm's
-    /// *busiest* rep window (busy ns / (workers × wall ns) of the median
-    /// rep). 1.0 means every worker computed the whole time.
-    pub utilization: f64,
-    /// Pool-counter delta over all parallel reps (jobs, steals, parks).
-    pub pool_delta: pool::PoolStats,
-}
-
-/// Time full DGEFMM serial (`serial_cfg`) against parallel
-/// (`parallel_cfg`) at square order `n`, `reps` reps per arm, and read
-/// the pool's utilization over the parallel reps.
-///
-/// Both arms run through [`dgefmm_with_workspace`] with a pre-sized
-/// arena so allocation never enters the ratio. The serial arm runs
-/// first, while the pool is quiet.
-pub fn measure_parallel_speedup(
-    serial_cfg: &StrassenConfig,
-    parallel_cfg: &StrassenConfig,
-    n: usize,
-    reps: usize,
-) -> ParallelSpeedup {
-    let a = random::uniform::<f64>(n, n, 0x5eed_0011);
-    let b = random::uniform::<f64>(n, n, 0x5eed_0012);
-    let mut c = Matrix::<f64>::zeros(n, n);
-
-    // One untimed warm-up rep per arm: faults in the arena pages and
-    // fills the per-thread pack buffers, so the timed reps measure the
-    // schedulers, not first-touch page faults.
-    let mut serial_ws = Workspace::<f64>::for_problem(serial_cfg, n, n, n, true);
-    let mut serial_rep = |ws: &mut Workspace<f64>| {
-        dgefmm_with_workspace(
-            serial_cfg,
-            1.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-            ws,
-        );
-    };
-    serial_rep(&mut serial_ws);
-    let serial_times = time_samples(reps, || serial_rep(&mut serial_ws));
-
-    let mut parallel_ws = Workspace::<f64>::for_problem(parallel_cfg, n, n, n, true);
-    {
-        let mut warm = Matrix::<f64>::zeros(n, n);
-        dgefmm_with_workspace(
-            parallel_cfg,
-            1.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            warm.as_mut(),
-            &mut parallel_ws,
-        );
-    }
-    let before = pool::pool_stats();
-    let mut busy_per_rep = Vec::with_capacity(reps);
-    let mut last = before.clone();
-    let parallel_times = time_samples(reps, || {
-        dgefmm_with_workspace(
-            parallel_cfg,
-            1.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-            &mut parallel_ws,
-        );
-        let now = pool::pool_stats();
-        busy_per_rep.push(now.since(&last).total_busy_ns());
-        last = now;
-    });
-    let pool_delta = last.since(&before);
-
-    let (serial_s, parallel_s) = (stats::median(&serial_times), stats::median(&parallel_times));
-    let workers = pool::current_num_threads();
-    // Utilization of the best rep: pairing each rep's busy-ns delta with
-    // its own wall time keeps warm-up reps from dragging the figure down.
-    let utilization = parallel_times
-        .iter()
-        .zip(&busy_per_rep)
-        .map(|(wall_s, &busy_ns)| busy_ns as f64 / (workers as f64 * wall_s * 1e9))
-        .fold(0.0f64, f64::max)
-        .min(1.0);
-
-    ParallelSpeedup {
-        n,
-        workers,
-        serial_s,
-        parallel_s,
-        speedup: serial_s / parallel_s,
-        utilization,
-        pool_delta,
-    }
-}
-
-/// Run all four tuning experiments for one base-GEMM configuration.
-pub fn tune(
-    gemm_cfg: &GemmConfig,
-    square_sizes: &[usize],
-    rect_sizes: &[usize],
-    rect_fixed: usize,
-    reps: usize,
-) -> TunedParameters {
-    tune_report(gemm_cfg, square_sizes, rect_sizes, rect_fixed, reps).params
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

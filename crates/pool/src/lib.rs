@@ -42,11 +42,12 @@
 //!
 //! Per-worker telemetry ([`pool_stats`], [`worker_job_counts`]) makes
 //! "did the parallel path really fan out, and were the workers busy?"
-//! testable — the bench harness turns [`PoolStats::utilization`] into a
-//! gate. The [`ring`] module adds an opt-in execution timeline on the
-//! same paths: per-worker event rings recording spawn / steal / start /
-//! finish / park with monotonic timestamps, which the trace exporter in
-//! the core crate renders as Perfetto-loadable Chrome trace JSON.
+//! testable, and the benchmark reports [`PoolStats::utilization`] as
+//! `pool.utilization`. The [`ring`] module adds an opt-in execution
+//! timeline on the same paths: per-worker event rings recording spawn /
+//! steal / start / finish / park with monotonic timestamps, which the
+//! trace exporter in the core crate renders as Perfetto-loadable Chrome
+//! trace JSON.
 
 #![warn(missing_docs)]
 
@@ -312,8 +313,9 @@ impl std::error::Error for PoolAlreadyRunning {}
 /// count the pool already has succeeds (idempotent), any other count
 /// returns [`PoolAlreadyRunning`] carrying both counts so callers can
 /// report the mismatch instead of silently computing with the wrong
-/// parallelism. Entry points that care (`bench_quick`, the examples) set
-/// the thread count up front, before touching any parallel path.
+/// parallelism. Entry points that care (`examples/timeline_trace.rs`,
+/// the parallel test suites) set the thread count up front, before
+/// touching any parallel path.
 ///
 /// Pre-start staging is **last-write-wins**: each call before the pool
 /// starts overwrites the staged request, and none of them takes effect
@@ -444,9 +446,9 @@ impl PoolStats {
     }
 
     /// Fraction of `wall_ns × workers` the pool spent busy — the
-    /// parallel-region utilization figure the profile reports and the
-    /// bench harness gates on. Returns 0 for an empty pool or a
-    /// zero-length wall interval.
+    /// parallel-region utilization figure the profile and the benchmark
+    /// report. Returns 0 for an empty pool or a zero-length wall
+    /// interval.
     pub fn utilization(&self, wall_ns: u64) -> f64 {
         let capacity = wall_ns.saturating_mul(self.workers.len() as u64);
         if capacity == 0 {
@@ -631,11 +633,14 @@ impl<'scope> Scope<'scope> {
             }
             let guard = self.state.lock.lock().unwrap();
             if self.state.pending.load(Ordering::Acquire) > 0 {
-                // All of this scope's tasks are held by workers (they
-                // were queued before wait_all began, and the queue is
-                // empty), so the last completion's notify — taken under
-                // this same lock — is guaranteed to reach us.
-                drop(self.state.done.wait(guard).unwrap());
+                // The last completion's notify is taken under this same
+                // lock, so it cannot be lost. The timeout is for work
+                // queued after the pop above: a running DAG node spawns
+                // its successors, and the thread that ran it may leave
+                // (its own scope done) while every worker sleeps in a
+                // nested wait. Waking re-polls the queue, so some
+                // waiter always ends up running it.
+                drop(self.state.done.wait_timeout(guard, Duration::from_millis(50)).unwrap());
             }
         }
     }

@@ -113,26 +113,6 @@ pub fn quartiles(values: &[f64]) -> [f64; 3] {
     [percentile(&sorted, 0.25), percentile(&sorted, 0.5), percentile(&sorted, 0.75)]
 }
 
-/// Geometric mean of a non-empty sample of positive values — the right
-/// aggregate for ratios (speedups, per-shape GFLOP/s deltas): a 2×
-/// regression and a 2× improvement cancel to exactly 1, which an
-/// arithmetic mean overstates. Computed in log space so a long product
-/// of ratios cannot overflow.
-///
-/// # Panics
-/// On an empty sample or any non-positive / NaN observation.
-pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geomean: empty sample");
-    let log_sum: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "geomean: non-positive observation {v}");
-            v.ln()
-        })
-        .sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 impl Summary {
     /// The paper's Table 4 row format:
     /// `range  quartiles  average` for a ratio sample.
@@ -213,22 +193,5 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn empty_panics() {
         summarize(&[]);
-    }
-
-    #[test]
-    fn geomean_known_values() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        // A 2× regression and a 2× improvement cancel exactly.
-        assert!((geomean(&[0.5, 2.0]) - 1.0).abs() < 1e-12);
-        // exp(ln 7) is one ulp off 7.0 on some libms — tolerance, not
-        // exact equality, like the other cases.
-        assert!((geomean(&[7.0]) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive")]
-    fn geomean_rejects_nonpositive() {
-        geomean(&[1.0, 0.0]);
     }
 }

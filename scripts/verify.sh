@@ -6,10 +6,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== 1/20 offline release build =="
+echo "== 1/17 offline release build =="
 cargo build --release --offline
 
-echo "== 2/20 offline test suite (pinned-thread matrix) =="
+echo "== 2/17 offline test suite (pinned-thread matrix) =="
 # The full suite — every crate's unit tests plus the root package's
 # integration tests and doc-tests (the workspace's `default-members`
 # covers all of them) — under both ends of the thread matrix: a
@@ -19,43 +19,46 @@ echo "== 2/20 offline test suite (pinned-thread matrix) =="
 STRASSEN_THREADS=1 cargo test -q --offline
 STRASSEN_THREADS=4 cargo test -q --offline
 
-echo "== 3/20 bench targets compile (offline) =="
+echo "== 3/17 bench targets compile (offline) =="
+# The twelve `cargo bench` targets and the `experiments` binary that
+# regenerates the paper's tables and figures; neither runs here.
 cargo build --release --offline -p strassen-bench --benches --bins
 
-echo "== 4/20 benchmark package builds and passes its tests =="
+echo "== 4/17 benchmark package builds and passes its tests =="
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so no step above builds it. This catches a change to the
 # public API of `serve` or `strassen` that would break it.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 5/20 AddressSanitizer over the unsafe GEMM kernels (nightly) =="
+echo "== 5/17 AddressSanitizer over the unsafe kernels (nightly) =="
 # The blas unit tests (micro-kernels, packers, the unpacked small tier's
-# masked loads and stores, the pack-buffer lease) and the kernel
-# conformance suite under ASan. A mask one lane too wide in the small
-# tier reads or writes past a view's last column and fails here as a
+# masked loads and stores, the pack-buffer lease), the kernel
+# conformance suite, the fused add-pack kernels and the ⟨m,k,n⟩ family
+# engine under ASan. A mask one lane too wide in the small tier reads or
+# writes past a view's last column and fails here as a
 # heap-buffer-overflow. Own target directory: the sanitized build must
 # not mix with the release artifacts above.
 ASAN=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
     cargo +nightly test --offline -q --target x86_64-unknown-linux-gnu)
 "${ASAN[@]}" -p strassen-blas --lib
-"${ASAN[@]}" -p strassen-repro --test kernel_conformance
+"${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test family_engine
 
-echo "== 6/20 clippy (deny warnings) =="
+echo "== 6/17 clippy (deny warnings) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== 7/20 rustfmt check =="
+echo "== 7/17 rustfmt check =="
 cargo fmt --check
 
-echo "== 8/20 rustdoc (deny warnings) =="
+echo "== 8/17 rustdoc (deny warnings) =="
 # cargo doc reuses cached rustdoc output even when RUSTDOCFLAGS would now
 # fail it; touch the crate roots so every crate is re-documented.
 touch crates/*/src/lib.rs src/lib.rs
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== 9/20 doc-tests =="
+echo "== 9/17 doc-tests =="
 cargo test --doc --workspace -q --offline
 
-echo "== 10/20 profile report (staleness gate + live run + schema validation) =="
+echo "== 10/17 profile report (staleness gate + live run + schema validation) =="
 # First the staleness gate: the committed artifacts must match the
 # structural fingerprint (schema, sections, exact flop totals, phase
 # labels, timeline task/edge structure, folded frame set) of a fresh
@@ -70,7 +73,7 @@ grep -q '"timeline":' results/profile_report.json
 grep -q '^dgefmm' results/profile_report.folded
 echo "profile_report artifacts validated"
 
-echo "== 11/20 execution timeline (record + strict re-parse + overhead gate) =="
+echo "== 11/17 execution timeline (record + strict re-parse + overhead gate) =="
 # Records a parallel task-DAG run into the per-worker event rings and
 # exports it as Chrome trace JSON. The example is its own acceptance
 # check: the export re-parses with the strict testkit parser, every
@@ -80,14 +83,14 @@ echo "== 11/20 execution timeline (record + strict re-parse + overhead gate) =="
 # hosts).
 cargo run --release --offline --example timeline_trace -- --n 512 --depth 2 | tail -n 3
 
-echo "== 12/20 algorithm catalog regeneration gate =="
+echo "== 12/17 algorithm catalog regeneration gate =="
 # ALGORITHMS.md's generated tables must match what the live coefficient
 # tables, compiled schedules, and trace probe produce, byte for byte;
 # the example also re-asserts traced flops == the generalized opcount
 # recurrence and high-water == the analytic requirement while rendering.
 cargo run --release --offline --example algorithm_catalog -- --check
 
-echo "== 13/20 differential fuzz campaign (pinned 256 cases) =="
+echo "== 13/17 differential fuzz campaign (pinned 256 cases) =="
 # The config-space fuzzer: 256 cases at a pinned master seed, every case
 # a full random DGEFMM configuration (shape incl. odd/prime, α/β,
 # transposes, variant, schedule incl. the BDPZ pair, ⟨m,k,n⟩ family,
@@ -99,39 +102,7 @@ FUZZ_ITERS=256 TESTKIT_SEED=0xD1CE5EED \
     cargo test -q --offline --test fuzz_differential differential_fuzz_campaign
 echo "fuzz campaign: 256/256 cases within the theoretical envelope"
 
-echo "== 14/20 bench smoke (fast functional pass) =="
-# Keep the pre-run smoke artifact around as the baseline for the
-# trajectory diff below (the file is committed, so it reflects the
-# last recorded run of this machine profile).
-mkdir -p target
-[ -f BENCH_PR7.smoke.json ] && cp BENCH_PR7.smoke.json target/bench_smoke_baseline.json
-# The whole bench pipeline — machine profile, token crossover sweep,
-# round-robin timing, the serial-vs-parallel headline with pool
-# utilization, JSON emission — at smoke scale. Guards are recorded but
-# not enforced in smoke mode; this step proves the pipeline runs and
-# emits valid artifacts, not performance.
-BENCH_SMOKE=1 BENCH_SAMPLES=3 BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=300 \
-    cargo run --release --offline -p strassen-bench --bin bench_quick | tail -n 1
-grep -q '"pr": 7' BENCH_PR7.smoke.json
-grep -q '"tuning": {"schema":1' BENCH_PR7.smoke.json
-grep -q '"utilization":' BENCH_PR7.smoke.json
-grep -q '"gates":' BENCH_PR7.smoke.json
-echo "bench smoke: BENCH_PR7.smoke.json written with utilization telemetry"
-
-echo "== 15/20 bench trajectory diff (baseline smoke vs fresh smoke) =="
-# The differ joins the two runs on (bench, n), reports per-shape
-# GFLOP/s ratios with per-bench and overall geometric means, and flags
-# regressions beyond the threshold. Smoke runs are functional, not
-# performance, so regressions here are reported loudly but waived —
-# the full-scale gate lives in scripts/bench_quick.sh.
-if [ -f target/bench_smoke_baseline.json ]; then
-    cargo run --release --offline --example bench_diff -- \
-        target/bench_smoke_baseline.json BENCH_PR7.smoke.json --threshold 10 --waive | tail -n 10
-else
-    echo "no committed smoke baseline; skipping diff"
-fi
-
-echo "== 16/20 serving layer at 2 workers (admission + determinism + soak) =="
+echo "== 14/17 serving layer at 2 workers (admission + determinism + soak) =="
 # Step 2 already ran the serve suites at 1 and 4 workers; this completes
 # the {1, 2, 4} matrix for the serving layer specifically. The
 # determinism suite's inline-replay anchor is worker-count independent,
@@ -141,29 +112,7 @@ STRASSEN_THREADS=2 cargo test -q --offline \
     --test serve_admission --test serve_determinism --test serve_soak
 echo "serving suites passed at 2 workers"
 
-echo "== 17/20 serving load smoke (1e5 requests) + trajectory diff =="
-# The deterministic load generator end to end at smoke scale: 100 000
-# mixed-shape requests through the batching server with backpressure
-# (zero shed), latency percentiles and per-bucket throughput into
-# BENCH_PR10.smoke.json.
-# Gates are recorded but waived in smoke mode; the enforced batching
-# gate lives in scripts/bench_quick.sh.
-[ -f BENCH_PR10.smoke.json ] && cp BENCH_PR10.smoke.json target/serve_smoke_baseline.json
-BENCH_SMOKE=1 cargo run --release --offline --example serve_bench | tail -n 3
-grep -q '"pr":10' BENCH_PR10.smoke.json
-grep -q '"latency":' BENCH_PR10.smoke.json
-grep -q '"p999_us":' BENCH_PR10.smoke.json
-grep -q '"gates":' BENCH_PR10.smoke.json
-grep -q '"rejected_full":0' BENCH_PR10.smoke.json
-if [ -f target/serve_smoke_baseline.json ]; then
-    cargo run --release --offline --example bench_diff -- \
-        target/serve_smoke_baseline.json BENCH_PR10.smoke.json --threshold 10 --waive | tail -n 6
-else
-    echo "no committed serve smoke baseline; skipping diff"
-fi
-echo "serve smoke: BENCH_PR10.smoke.json written with latency percentiles"
-
-echo "== 18/20 determinism spot-check at 2 workers =="
+echo "== 15/17 determinism spot-check at 2 workers =="
 # The thread matrix in step 2 covers 1 and 4 workers; this completes the
 # {1, 2, 4} set from the PR-7 acceptance criteria with the bitwise
 # determinism suite at a 2-worker pool. (parallel_smoke's pool pin
@@ -173,7 +122,7 @@ echo "== 18/20 determinism spot-check at 2 workers =="
 STRASSEN_THREADS=2 cargo test -q --offline --test parallel_smoke bitwise
 echo "determinism suite passed at 2 workers"
 
-echo "== 19/20 rectangular-family smoke at 4 workers =="
+echo "== 16/17 rectangular-family smoke at 4 workers =="
 # Every ⟨m,k,n⟩ family plus both BDPZ schedules on a rectangular
 # 33×40×27 problem, serial vs parallel_depth=2 bitwise, with a real
 # 4-worker pool underneath — families resolve to the serial compiled
@@ -182,7 +131,7 @@ STRASSEN_THREADS=4 cargo test -q --offline --test family_engine \
     serial_parallel_bitwise_identical_across_new_axes
 echo "family smoke: serial == parallel across families and schedules at 4 workers"
 
-echo "== 20/20 dependency audit: workspace-only graph =="
+echo "== 17/17 dependency audit: workspace-only graph, no oracle on the hot path =="
 # Every package in the resolved graph must live under this repository;
 # a single registry/git dependency would appear without the (path) suffix.
 tree_out="$(cargo tree --workspace --edges normal,build,dev --prefix none --offline)"
@@ -193,5 +142,18 @@ if [ -n "$external" ]; then
     exit 1
 fi
 echo "dependency graph is workspace-only ($(printf '%s\n' "$tree_out" | grep -c "($(pwd)") path entries)"
+
+# Oracle-linkage audit: the compensated accuracy oracle is a test-only
+# reference — it must never appear in the normal dependency graph of the
+# hot path (the bench harness, the root crate, or the strassen kernels).
+# `-e normal` excludes dev-dependencies, which is exactly the boundary
+# the audit enforces.
+for pkg in strassen-bench strassen-repro strassen; do
+    if cargo tree -p "$pkg" -e normal --prefix none --offline | grep -q "strassen-accuracy"; then
+        echo "ERROR: $pkg links the accuracy oracle into its normal (hot-path) graph" >&2
+        exit 1
+    fi
+done
+echo "oracle audit: accuracy crate absent from all hot-path dependency graphs"
 
 echo "verify.sh: all checks passed"
