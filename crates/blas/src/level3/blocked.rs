@@ -1,4 +1,5 @@
-//! Cache-blocked, packing GEMM kernel (BLIS/Goto 5-loop nest).
+//! Cache-blocked, packing GEMM (BLIS/Goto 5-loop nest): the packers,
+//! the blocking clamp, and [`gemm_blocked`]'s entry.
 //!
 //! Loop structure, outermost first: `jc` over `nc`-wide column panels of
 //! `op(B)` (L3), `pc` over `kc`-deep rank panels packing `op(B)` once
@@ -9,6 +10,11 @@
 //! [`super::kernel`]). Packing also absorbs the transpose, so
 //! `op = Trans` costs nothing extra in the inner loops — which is how
 //! the vendor DGEMMs the paper built on behave.
+//!
+//! The nest itself is the one in [`super::fused`]: a plain GEMM is its
+//! one-block, one-product case (`+A · +B → +C` on a 1 x 1 grid), so
+//! DGEFMM's leaves and its fused Strassen levels run the same loops,
+//! packers, macro-kernel and tile writer.
 //!
 //! `β` is folded into the first `pc` block's tile write-back instead of
 //! a standalone pre-sweep: `β = 0` becomes a pure store (no read of
@@ -23,12 +29,12 @@
 //! pack buffers ([`super::packbuf`]) and steady-state calls allocate
 //! nothing. Small `f64` products on AVX-512 parts skip packing
 //! altogether: [`gemm_blocked`] hands them to the unpacked tier in
-//! [`super::small`], which is bitwise equal to this nest.
+//! [`super::small`], which is bitwise equal to the nest.
 
-use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
-use super::packbuf::with_pack_bufs;
+use super::fused::{gemm_level, PLAIN};
+use super::kernel::{MR, NR};
 use super::small;
-use super::{check_gemm_dims, scale_c, GemmConfig};
+use super::{check_gemm_dims, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 
@@ -107,104 +113,6 @@ pub(crate) fn pack_b<T: Scalar>(
     }
 }
 
-/// Scatter one accumulator tile into `C` at `(i0, j0)`.
-///
-/// `beta = None` accumulates; `Some(0)` is a pure store (no read of the
-/// destination); any other `Some(b)` fuses the scale into the write. The
-/// scalar sequences match the classic pre-sweep formulation bitwise:
-/// `Some(b)` computes `b·d + α·v` exactly as `scale` + `+=` did, and
-/// `Some(1)`/`None` skip the (exact) multiply by one.
-#[inline(always)]
-pub(crate) fn write_tile<T: Scalar>(
-    c: &mut MatMut<'_, T>,
-    i0: usize,
-    j0: usize,
-    rows: usize,
-    cols: usize,
-    alpha: T,
-    beta: Option<T>,
-    acc: &AccTile<T>,
-) {
-    let ld = c.ld();
-    // Hoist the destination base pointer: at leaf-sized `kb` the
-    // per-column slice checks of safe indexing cost as much as the
-    // micro-kernel itself.
-    let base = c.as_mut_ptr();
-    for (cc, acc_col) in acc.iter().enumerate().take(cols) {
-        // SAFETY: rows i0..i0+rows of column j0+cc are in bounds by
-        // construction of the blocking.
-        let cseg = unsafe { core::slice::from_raw_parts_mut(base.add((j0 + cc) * ld + i0), rows) };
-        match beta {
-            None => {
-                for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                    *d += alpha * v;
-                }
-            }
-            Some(b) if b == T::ZERO => {
-                for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                    *d = alpha * v;
-                }
-            }
-            Some(b) if b == T::ONE => {
-                for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                    *d += alpha * v;
-                }
-            }
-            Some(b) => {
-                for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                    *d = b * *d + alpha * v;
-                }
-            }
-        }
-    }
-}
-
-/// Inner macro-kernel: multiply one packed `mb x kb` A-block by one packed
-/// `kb x nb` B-panel into the corresponding region of `C`, walking the
-/// A-row panels in pairs so AVX-512 parts run the fused `2·MR x NR`
-/// micro-kernel. `beta` carries the first-`pc`-block fold (see
-/// [`write_tile`]); pass `None` on later rank updates.
-pub(crate) fn macrokernel<T: Scalar>(
-    alpha: T,
-    beta: Option<T>,
-    mb: usize,
-    kb: usize,
-    nb: usize,
-    packed_a: &[T],
-    packed_b: &[T],
-    c: &mut MatMut<'_, T>,
-    ic: usize,
-    jc: usize,
-) {
-    let mpanels = mb.div_ceil(MR);
-    let npanels = nb.div_ceil(NR);
-    for qn in 0..npanels {
-        let col0 = qn * NR;
-        let cols = NR.min(nb - col0);
-        let pb = &packed_b[qn * NR * kb..(qn + 1) * NR * kb];
-        let mut qm = 0;
-        while qm + 2 <= mpanels {
-            let pa0 = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let pa1 = &packed_a[(qm + 1) * MR * kb..(qm + 2) * MR * kb];
-            let mut acc0: AccTile<T> = [[T::ZERO; MR]; NR];
-            let mut acc1: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel_x2(kb, pa0, pa1, pb, &mut acc0, &mut acc1);
-            let rows0 = MR.min(mb - qm * MR);
-            let rows1 = MR.min(mb - (qm + 1) * MR);
-            write_tile(c, ic + qm * MR, jc + col0, rows0, cols, alpha, beta, &acc0);
-            write_tile(c, ic + (qm + 1) * MR, jc + col0, rows1, cols, alpha, beta, &acc1);
-            qm += 2;
-        }
-        if qm < mpanels {
-            let pa = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let mut acc: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel(kb, pa, pb, &mut acc);
-            let rows = MR.min(mb - qm * MR);
-            write_tile(c, ic + qm * MR, jc + col0, rows, cols, alpha, beta, &acc);
-        }
-    }
-}
-
 /// Blocking parameters clamped to the problem shape: `mc`/`nc` to the
 /// dimension rounded up to a whole micro-tile, `kc` to `k`. Degenerate
 /// configured values (zero, below a micro-tile) are raised to the legal
@@ -216,8 +124,7 @@ pub(crate) fn clamp_blocking(cfg: &GemmConfig, m: usize, k: usize, n: usize) -> 
     (mc, kc, nc)
 }
 
-/// Packed-panel lengths for one `(mc, kc, nc)` blocking — shared with the
-/// parallel and fused drivers.
+/// Packed-panel lengths for one `(mc, kc, nc)` blocking.
 pub(crate) fn panel_lens(mc: usize, kc: usize, nc: usize) -> (usize, usize) {
     (mc.div_ceil(MR) * MR * kc, nc.div_ceil(NR) * NR * kc)
 }
@@ -256,8 +163,9 @@ pub fn gemm_blocked<T: Scalar>(
     gemm_packed(cfg, alpha, op_a, a, op_b, b, beta, c);
 }
 
-/// The packed 5-loop nest itself, whatever the shape — the reference
-/// the small tier is pinned against.
+/// The packed nest, whatever the shape — the reference the small tier is
+/// pinned against: the level nest of [`super::fused`] on a 1 x 1 grid
+/// with the one product `+A · +B → +C`.
 pub(crate) fn gemm_packed<T: Scalar>(
     cfg: &GemmConfig,
     alpha: T,
@@ -266,32 +174,9 @@ pub(crate) fn gemm_packed<T: Scalar>(
     op_b: Op,
     b: MatRef<'_, T>,
     beta: T,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
 ) {
-    let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        // Degenerate product: only the β scaling remains.
-        scale_c(beta, &mut c);
-        return;
-    }
-    let (mc, kc, nc) = clamp_blocking(cfg, m, k, n);
-    let (a_len, b_len) = panel_lens(mc, kc, nc);
-    with_pack_bufs::<T, _>(a_len, b_len, |packed_a, packed_b| {
-        for jc in (0..n).step_by(nc) {
-            let nb = nc.min(n - jc);
-            for pc in (0..k).step_by(kc) {
-                let kb = kc.min(k - pc);
-                pack_b(op_b, &b, pc, jc, kb, nb, packed_b);
-                // The first rank update of each C region applies β.
-                let beta_eff = if pc == 0 { Some(beta) } else { None };
-                for ic in (0..m).step_by(mc) {
-                    let mb = mc.min(m - ic);
-                    pack_a(op_a, &a, ic, pc, mb, kb, packed_a);
-                    macrokernel(alpha, beta_eff, mb, kb, nb, packed_a, packed_b, &mut c, ic, jc);
-                }
-            }
-        }
-    });
+    gemm_level(false, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1);
 }
 
 #[cfg(test)]
@@ -333,6 +218,93 @@ mod tests {
         let base = NR * 3;
         assert_eq!(buf[base], NR as f64); // (kk=0, cc=0) -> b[0, NR]
         assert_eq!(buf[base + 2], 0.0); // padded col
+    }
+
+    /// Element `(i, p)` of `op(X)` by the index formula.
+    fn op_get(op: Op, x: &Matrix<f64>, i: usize, p: usize) -> f64 {
+        match op {
+            Op::NoTrans => x.at(i, p),
+            Op::Trans => x.at(p, i),
+        }
+    }
+
+    /// `op(X)` stored for `op`: `X` itself, or its transpose in storage.
+    fn stored(op: Op, rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+        match op {
+            Op::NoTrans => random::uniform::<f64>(rows, cols, seed),
+            Op::Trans => random::uniform::<f64>(cols, rows, seed),
+        }
+    }
+
+    #[test]
+    fn pack_a_matches_reference() {
+        // mb = 2·MR + 3 leaves a 3-row tail; the block starts at a nonzero
+        // (ic, pc); the buffer starts NaN so every slot must be written.
+        let (ic, pc, kb) = (MR + 1, 2, 11);
+        for op in [Op::NoTrans, Op::Trans] {
+            for mb in [1, MR, 2 * MR + 3] {
+                let x = stored(op, ic + mb + 2, pc + kb + 2, 40);
+                let panels = mb.div_ceil(MR);
+                let mut got = vec![f64::NAN; panels * MR * kb];
+                pack_a(op, &x.as_ref(), ic, pc, mb, kb, &mut got);
+                for q in 0..panels {
+                    for kk in 0..kb {
+                        for r in 0..MR {
+                            let row = q * MR + r;
+                            let want = if row < mb { op_get(op, &x, ic + row, pc + kk) } else { 0.0 };
+                            let g = got[q * MR * kb + kk * MR + r];
+                            assert_eq!(g.to_bits(), want.to_bits(), "{op:?} mb={mb} (q={q}, kk={kk}, r={r})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_b_matches_reference() {
+        // nb = 2·NR + 3 leaves a 3-column tail; nonzero (pc, jc).
+        let (pc, jc, kb) = (3, NR + 2, 9);
+        for op in [Op::NoTrans, Op::Trans] {
+            for nb in [1, NR, 2 * NR + 3] {
+                let x = stored(op, pc + kb + 2, jc + nb + 2, 50);
+                let panels = nb.div_ceil(NR);
+                let mut got = vec![f64::NAN; panels * NR * kb];
+                pack_b(op, &x.as_ref(), pc, jc, kb, nb, &mut got);
+                for q in 0..panels {
+                    for kk in 0..kb {
+                        for cc in 0..NR {
+                            let col = q * NR + cc;
+                            let want = if col < nb { op_get(op, &x, pc + kk, jc + col) } else { 0.0 };
+                            let g = got[q * NR * kb + kk * NR + cc];
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{op:?} nb={nb} (q={q}, kk={kk}, cc={cc})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_panel_padding_is_exact_zero() {
+        // One live row/column: everything else must be +0.0 (not merely
+        // small, and not NaN left over) — the micro-kernel multiplies
+        // padding by live data.
+        let x = random::uniform::<f64>(4, 4, 60);
+        let mut buf = vec![f64::NAN; MR * 3];
+        pack_a(Op::NoTrans, &x.as_ref(), 0, 0, 1, 3, &mut buf);
+        for kk in 0..3 {
+            assert!(buf[kk * MR + 1..(kk + 1) * MR].iter().all(|v| v.to_bits() == 0), "pack_a kk={kk}");
+        }
+        let mut buf = vec![f64::NAN; NR * 3];
+        pack_b(Op::Trans, &x.as_ref(), 0, 0, 3, 1, &mut buf);
+        for kk in 0..3 {
+            assert!(buf[kk * NR + 1..(kk + 1) * NR].iter().all(|v| v.to_bits() == 0), "pack_b kk={kk}");
+        }
     }
 
     #[test]

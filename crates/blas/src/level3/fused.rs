@@ -1,535 +1,70 @@
-//! Fused Strassen/GEMM kernels: operand-sum packing and
-//! multi-destination write-back.
+//! The packed GEMM nest: one BLIS 5-loop nest for every packed product,
+//! from a plain GEMM to a whole Strassen recursion level.
 //!
-//! A Strassen product has the shape `P = (Σ γ_t · A_t)(Σ γ_t · B_t)`
-//! followed by `C_d += δ_d · P` for one or more quadrants `C_d`. The
-//! classical schedules materialize the operand sums into temporaries and
-//! sweep the quadrant updates as standalone add passes; both cost a full
-//! read+write of quadrant-sized data per pass. Following Huang et al.
-//! (*Strassen's Algorithm Reloaded* / the BLIS practical-Strassen line),
-//! this module folds the sums into the GEMM *packing* step — the packed
-//! panel is built from `Σ γ_t · op(X_t)` element-wise, at no extra memory
-//! traffic since packing reads the operands anyway — and folds the
-//! quadrant updates into the micro-tile *write-back*, scattering each
-//! `MR x NR` accumulator into every destination while it is still in
-//! registers.
-//!
-//! [`gemm_fused`] computes, for each destination `d`:
-//!
-//! ```text
-//! C_d ← α · δ_d · (Σ γ_t op(A_t)) (Σ γ_t op(B_t)) + β_d · C_d
-//! ```
-//!
-//! where `β_d` is optional (absent means pure accumulation, `β_d = 1`).
+//! A block schedule is a list of products `(Σ γ·A_q)(Σ γ·B_q) → Σ δ·C_q`
+//! over a `g x g` partition of the operands. Following Huang et al.,
+//! *Implementing Strassen's Algorithm with BLIS*, the nest folds the
+//! operand sums into the *packing* step — every grid block of `A` and `B`
+//! is packed once per cache block, and a sum is a γ-weighted combination
+//! of already-packed panels — and folds the destination updates into the
+//! micro-tile *write-back*, scattering each `MR x NR` accumulator into
+//! every destination block while it is still in registers. A plain GEMM
+//! is the case `g = 1` with the one product `+A₀ · +B₀ → +C₀` (`PLAIN`):
+//! one term, one destination, no combination buffer.
 //!
 //! # Example
 //!
-//! One fused call computes `P = (A1 + A2) · B` and scatters `+P` and `−P`
-//! into two destinations — the shape of a Winograd product feeding two
-//! `C` quadrants — without materializing `A1 + A2` or `P`:
+//! One Strassen level (the 1969 seven-product table over the 2 x 2
+//! quadrants, flat index `q = row · 2 + col`) in a single call, with no
+//! operand sum or product ever materialized:
 //!
 //! ```
 //! use blas::level2::Op;
-//! use blas::level3::fused::{gemm_fused, DestSpec, SumOperand};
-//! use blas::level3::{gemm, GemmConfig};
+//! use blas::level3::{gemm, gemm_fused_level, BlockProduct, BlockTerms, GemmConfig};
 //! use matrix::{norms, random, Matrix};
 //!
+//! let p = |a: &[(i8, u8)], b: &[(i8, u8)], c: &[(i8, u8)]| BlockProduct {
+//!     a: BlockTerms::new(a),
+//!     b: BlockTerms::new(b),
+//!     c: BlockTerms::new(c),
+//! };
+//! let strassen = [
+//!     p(&[(1, 0), (1, 3)], &[(1, 0), (1, 3)], &[(1, 0), (1, 3)]),
+//!     p(&[(1, 2), (1, 3)], &[(1, 0)], &[(1, 2), (-1, 3)]),
+//!     p(&[(1, 0)], &[(1, 1), (-1, 3)], &[(1, 1), (1, 3)]),
+//!     p(&[(1, 3)], &[(1, 2), (-1, 0)], &[(1, 0), (1, 2)]),
+//!     p(&[(1, 0), (1, 1)], &[(1, 3)], &[(-1, 0), (1, 1)]),
+//!     p(&[(1, 2), (-1, 0)], &[(1, 0), (1, 1)], &[(1, 3)]),
+//!     p(&[(1, 1), (-1, 3)], &[(1, 2), (1, 3)], &[(1, 0)]),
+//! ];
+//!
 //! let (m, k, n) = (24, 20, 28);
-//! let a1 = random::uniform::<f64>(m, k, 1);
-//! let a2 = random::uniform::<f64>(m, k, 2);
-//! let b = random::uniform::<f64>(k, n, 3);
+//! let a = random::uniform::<f64>(m, k, 1);
+//! let b = random::uniform::<f64>(k, n, 2);
 //! let cfg = GemmConfig::blocked();
+//! let mut c = Matrix::zeros(m, n);
+//! gemm_fused_level(&cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), &strassen, 2);
 //!
-//! let mut c_plus = Matrix::zeros(m, n);
-//! let mut c_minus = Matrix::zeros(m, n);
-//! let a_sum = SumOperand::new(Op::NoTrans, &[(1.0, a1.as_ref()), (1.0, a2.as_ref())]);
-//! let b_sum = SumOperand::single(Op::NoTrans, b.as_ref());
-//! let mut dests =
-//!     [DestSpec::init(c_plus.as_mut(), 1.0, 0.0), DestSpec::init(c_minus.as_mut(), -1.0, 0.0)];
-//! gemm_fused(&cfg, 1.0, &a_sum, &b_sum, &mut dests);
-//!
-//! // Reference: materialize the sum, then a plain GEMM per destination.
-//! let mut a12 = Matrix::zeros(m, k);
-//! blas::add::add_into(a12.as_mut(), a1.as_ref(), a2.as_ref());
 //! let mut want = Matrix::zeros(m, n);
-//! gemm(&cfg, 1.0, Op::NoTrans, a12.as_ref(), Op::NoTrans, b.as_ref(), 0.0, want.as_mut());
-//! assert!(norms::rel_diff(c_plus.as_ref(), want.as_ref()) < 1e-13);
-//! let mut neg = Matrix::zeros(m, n);
-//! gemm(&cfg, -1.0, Op::NoTrans, a12.as_ref(), Op::NoTrans, b.as_ref(), 0.0, neg.as_mut());
-//! assert!(norms::rel_diff(c_minus.as_ref(), neg.as_ref()) < 1e-13);
+//! gemm(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, want.as_mut());
+//! assert!(norms::rel_diff(c.as_ref(), want.as_ref()) < 1e-13);
 //! ```
 
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
 use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
-use super::packbuf::{with_pack_bufs, with_pack_slab};
+use super::packbuf::with_pack_slab;
 use super::parallel::{balanced_quanta, parallel_ways};
 use super::{scale_c, GemmAlgo, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 
-/// Maximum number of `γ_t · X_t` terms a [`SumOperand`] can carry — the
-/// Winograd schedule needs up to four (e.g. `A12 − S2 = A12 − A21 − A22 +
-/// A11`).
+/// Maximum number of `γ · X_q` terms in one operand sum — the Winograd
+/// schedule needs up to four (e.g. `A12 − S2 = A12 − A21 − A22 + A11`).
 pub const MAX_TERMS: usize = 4;
 
-/// Maximum number of destinations per fused multiply — a Strassen product
-/// feeds at most all four `C` quadrants (`P1` in the Winograd schedule).
+/// Maximum number of destinations per product — a Strassen product feeds
+/// at most all four `C` quadrants (`P1` in the Winograd schedule).
 pub const MAX_DESTS: usize = 4;
-
-/// A linear combination `Σ γ_t · X_t` of equally-shaped matrix views,
-/// with one transpose op applied to the whole sum. The combination is
-/// never materialized; [`pack_a_sum`]/[`pack_b_sum`] evaluate it
-/// element-wise while packing.
-#[derive(Clone, Copy)]
-pub struct SumOperand<'a, T> {
-    op: Op,
-    terms: [(T, MatRef<'a, T>); MAX_TERMS],
-    len: usize,
-}
-
-impl<'a, T: Scalar> SumOperand<'a, T> {
-    /// Build a sum from `(γ_t, X_t)` terms. All views must share one
-    /// shape; `op` applies to the summed result (equivalently to every
-    /// term, since transposition is linear).
-    ///
-    /// # Panics
-    /// If `terms` is empty, has more than [`MAX_TERMS`] entries, or the
-    /// shapes disagree.
-    pub fn new(op: Op, terms: &[(T, MatRef<'a, T>)]) -> Self {
-        assert!(
-            !terms.is_empty() && terms.len() <= MAX_TERMS,
-            "SumOperand: need 1..={MAX_TERMS} terms, got {}",
-            terms.len()
-        );
-        let (r, c) = (terms[0].1.nrows(), terms[0].1.ncols());
-        for (_, t) in terms {
-            assert!(
-                t.nrows() == r && t.ncols() == c,
-                "SumOperand: term shapes disagree ({r}x{c} vs {}x{})",
-                t.nrows(),
-                t.ncols()
-            );
-        }
-        let mut stored = [terms[0]; MAX_TERMS];
-        stored[..terms.len()].copy_from_slice(terms);
-        // Padding entries alias term 0 but with γ = 0, so even an
-        // accidental read past `len` contributes nothing.
-        for slot in stored.iter_mut().skip(terms.len()) {
-            slot.0 = T::ZERO;
-        }
-        Self { op, terms: stored, len: terms.len() }
-    }
-
-    /// A single-term operand `op(X)` (γ = 1) — plain GEMM semantics.
-    pub fn single(op: Op, x: MatRef<'a, T>) -> Self {
-        Self::new(op, &[(T::ONE, x)])
-    }
-
-    /// Dimensions of the sum *after* applying `op`.
-    pub fn dims(&self) -> (usize, usize) {
-        let (r, c) = (self.terms[0].1.nrows(), self.terms[0].1.ncols());
-        match self.op {
-            Op::NoTrans => (r, c),
-            Op::Trans => (c, r),
-        }
-    }
-
-    /// Element `(i, j)` of `op(Σ γ_t X_t)`.
-    ///
-    /// # Safety
-    /// `(i, j)` must be in bounds for the op-applied shape.
-    #[inline(always)]
-    unsafe fn at_unchecked(&self, i: usize, j: usize) -> T {
-        let (si, sj) = match self.op {
-            Op::NoTrans => (i, j),
-            Op::Trans => (j, i),
-        };
-        let (g0, x0) = &self.terms[0];
-        let mut v = *g0 * *x0.get_unchecked(si, sj);
-        for (g, x) in &self.terms[1..self.len] {
-            v = g.mul_add(*x.get_unchecked(si, sj), v);
-        }
-        v
-    }
-}
-
-/// One destination of a fused multiply: `c ← δ · P + β · c`, where the
-/// scale `β` is optional (absent means accumulate into `c` as-is).
-pub struct DestSpec<'a, T> {
-    c: MatMut<'a, T>,
-    delta: T,
-    beta: Option<T>,
-}
-
-impl<'a, T: Scalar> DestSpec<'a, T> {
-    /// First touch of a quadrant: apply BLAS β-semantics (`β = 0`
-    /// overwrites without reading), then accumulate `δ · P`.
-    pub fn init(c: MatMut<'a, T>, delta: T, beta: T) -> Self {
-        Self { c, delta, beta: Some(beta) }
-    }
-
-    /// Subsequent touch: accumulate `δ · P` into the existing contents.
-    pub fn update(c: MatMut<'a, T>, delta: T) -> Self {
-        Self { c, delta, beta: None }
-    }
-}
-
-/// The `L` column slices (one per term) covering rows `row0..row0+rows`
-/// of stored column `j`, plus the matching γ coefficients.
-#[inline(always)]
-fn term_cols<'s, T: Scalar, const L: usize>(
-    sum: &'s SumOperand<'_, T>,
-    j: usize,
-    row0: usize,
-    rows: usize,
-) -> ([&'s [T]; L], [T; L]) {
-    let mut cols = [&[] as &[T]; L];
-    let mut gammas = [T::ZERO; L];
-    for t in 0..L {
-        let (g, x) = &sum.terms[t];
-        cols[t] = &x.col(j)[row0..row0 + rows];
-        gammas[t] = *g;
-    }
-    (cols, gammas)
-}
-
-/// `dst[r] ← Σ_t γ_t · cols_t[r]` with the term loop unrolled at compile
-/// time — the vectorizable core of the `NoTrans` packing fast path.
-#[inline(always)]
-fn fill_sum_rows<T: Scalar, const L: usize>(dst: &mut [T], cols: &[&[T]; L], gammas: &[T; L]) {
-    debug_assert!(cols.iter().all(|c| c.len() == dst.len()));
-    for (r, d) in dst.iter_mut().enumerate() {
-        // SAFETY: every slice in `cols` has dst.len() elements.
-        let mut v = unsafe { gammas[0] * *cols[0].get_unchecked(r) };
-        for t in 1..L {
-            v = unsafe { gammas[t].mul_add(*cols[t].get_unchecked(r), v) };
-        }
-        *d = v;
-    }
-}
-
-/// `NoTrans` fast path of [`pack_a_sum`]: stored columns are contiguous,
-/// so each `MR`-row segment is a straight-line `Σ γ_t · col_t` loop.
-///
-/// The loop order is column-outer / panel-inner so every source column is
-/// read in one contiguous pass — the sources are typically quadrant views
-/// with large leading dimensions, where revisiting a column once per
-/// `MR`-row panel would touch the same pages over and over.
-fn pack_a_sum_nt<T: Scalar, const L: usize>(
-    a: &SumOperand<'_, T>,
-    ic: usize,
-    pc: usize,
-    mb: usize,
-    kb: usize,
-    buf: &mut [T],
-) {
-    let panels = mb.div_ceil(MR);
-    for kk in 0..kb {
-        let (cols, gammas) = term_cols::<T, L>(a, pc + kk, ic, mb);
-        for q in 0..panels {
-            let row0 = q * MR;
-            let rows = MR.min(mb - row0);
-            let mut seg = [&[] as &[T]; L];
-            for t in 0..L {
-                seg[t] = &cols[t][row0..row0 + rows];
-            }
-            let dst = &mut buf[q * MR * kb + kk * MR..q * MR * kb + kk * MR + MR];
-            fill_sum_rows(&mut dst[..rows], &seg, &gammas);
-            for d in dst.iter_mut().skip(rows) {
-                *d = T::ZERO;
-            }
-        }
-    }
-}
-
-/// `NoTrans` fast path of [`pack_b_sum`]: iterate stored columns so the
-/// reads are contiguous (the writes stride by `NR`).
-fn pack_b_sum_nt<T: Scalar, const L: usize>(
-    b: &SumOperand<'_, T>,
-    pc: usize,
-    jc: usize,
-    kb: usize,
-    nb: usize,
-    buf: &mut [T],
-) {
-    let panels = nb.div_ceil(NR);
-    for q in 0..panels {
-        let col0 = q * NR;
-        let cols_in_panel = NR.min(nb - col0);
-        let base = q * NR * kb;
-        let panel = &mut buf[base..base + NR * kb];
-        for cc in 0..cols_in_panel {
-            let (cols, gammas) = term_cols::<T, L>(b, jc + col0 + cc, pc, kb);
-            for (kk, chunk) in panel.chunks_exact_mut(NR).enumerate() {
-                // SAFETY: every slice in `cols` has kb elements and the
-                // panel holds kb NR-wide chunks.
-                let mut v = unsafe { gammas[0] * *cols[0].get_unchecked(kk) };
-                for t in 1..L {
-                    v = unsafe { gammas[t].mul_add(*cols[t].get_unchecked(kk), v) };
-                }
-                chunk[cc] = v;
-            }
-        }
-        for chunk in panel.chunks_exact_mut(NR) {
-            for d in chunk.iter_mut().skip(cols_in_panel) {
-                *d = T::ZERO;
-            }
-        }
-    }
-}
-
-/// Pack the `mb x kb` block of `op(Σ γ_t A_t)` starting at `(ic, pc)`
-/// into `buf`, in exactly the row-panel layout the
-/// blocked kernel's private `pack_a` uses.
-pub fn pack_a_sum<T: Scalar>(
-    a: &SumOperand<'_, T>,
-    ic: usize,
-    pc: usize,
-    mb: usize,
-    kb: usize,
-    buf: &mut [T],
-) {
-    let panels = mb.div_ceil(MR);
-    debug_assert!(buf.len() >= panels * MR * kb);
-    if a.op == Op::NoTrans {
-        // Dispatch on the term count so the sum loop unrolls and the
-        // contiguous-column inner loop vectorizes.
-        match a.len {
-            1 => return pack_a_sum_nt::<T, 1>(a, ic, pc, mb, kb, buf),
-            2 => return pack_a_sum_nt::<T, 2>(a, ic, pc, mb, kb, buf),
-            3 => return pack_a_sum_nt::<T, 3>(a, ic, pc, mb, kb, buf),
-            _ => return pack_a_sum_nt::<T, 4>(a, ic, pc, mb, kb, buf),
-        }
-    }
-    for q in 0..panels {
-        let row0 = q * MR;
-        let rows = MR.min(mb - row0);
-        let base = q * MR * kb;
-        for kk in 0..kb {
-            let dst = &mut buf[base + kk * MR..base + kk * MR + MR];
-            for (r, d) in dst.iter_mut().enumerate().take(rows) {
-                // SAFETY: ic+row0+r < ic+mb <= sum rows, pc+kk < sum cols.
-                *d = unsafe { a.at_unchecked(ic + row0 + r, pc + kk) };
-            }
-            for d in dst.iter_mut().skip(rows) {
-                *d = T::ZERO;
-            }
-        }
-    }
-}
-
-/// Pack the `kb x nb` block of `op(Σ γ_t B_t)` starting at `(pc, jc)`
-/// into `buf`, in exactly the column-panel layout the
-/// blocked kernel's private `pack_b` uses.
-pub fn pack_b_sum<T: Scalar>(
-    b: &SumOperand<'_, T>,
-    pc: usize,
-    jc: usize,
-    kb: usize,
-    nb: usize,
-    buf: &mut [T],
-) {
-    let panels = nb.div_ceil(NR);
-    debug_assert!(buf.len() >= panels * NR * kb);
-    if b.op == Op::NoTrans {
-        match b.len {
-            1 => return pack_b_sum_nt::<T, 1>(b, pc, jc, kb, nb, buf),
-            2 => return pack_b_sum_nt::<T, 2>(b, pc, jc, kb, nb, buf),
-            3 => return pack_b_sum_nt::<T, 3>(b, pc, jc, kb, nb, buf),
-            _ => return pack_b_sum_nt::<T, 4>(b, pc, jc, kb, nb, buf),
-        }
-    }
-    for q in 0..panels {
-        let col0 = q * NR;
-        let cols = NR.min(nb - col0);
-        let base = q * NR * kb;
-        for kk in 0..kb {
-            let dst = &mut buf[base + kk * NR..base + kk * NR + NR];
-            for (cc, d) in dst.iter_mut().enumerate().take(cols) {
-                // SAFETY: pc+kk < sum rows, jc+col0+cc < sum cols.
-                *d = unsafe { b.at_unchecked(pc + kk, jc + col0 + cc) };
-            }
-            for d in dst.iter_mut().skip(cols) {
-                *d = T::ZERO;
-            }
-        }
-    }
-}
-
-/// Macro-kernel with multi-destination write-back: each `MR x NR`
-/// accumulator tile is scattered into every destination with its folded
-/// coefficient while still in registers.
-///
-/// `first_k` marks the first `pc` block: β-semantics of `init`
-/// destinations are folded into that block's write-back, so `β = 0`
-/// becomes a pure streaming store (no pre-sweep, no read of `C`) and a
-/// general β costs one fused read-scale-accumulate pass instead of a
-/// separate scale sweep plus a read-modify-write pass.
-fn scatter_tile<T: Scalar>(
-    dests: &mut [DestSpec<'_, T>],
-    coeffs: &[T],
-    acc: &AccTile<T>,
-    i0: usize,
-    j0: usize,
-    rows: usize,
-    cols: usize,
-    first_k: bool,
-) {
-    for (dest, &coeff) in dests.iter_mut().zip(coeffs) {
-        let beta = if first_k { dest.beta } else { None };
-        let ld = dest.c.ld();
-        // Hoist the destination base pointer: at leaf-sized `kb`
-        // the per-column slice checks of safe indexing cost as
-        // much as the micro-kernel itself.
-        let base = dest.c.as_mut_ptr();
-        for (cc, acc_col) in acc.iter().enumerate().take(cols) {
-            // SAFETY: rows i0..i0+rows of column j0+cc are in
-            // bounds by construction of the blocking, and `dests`
-            // holds exclusive borrows of disjoint matrices.
-            let cseg = unsafe { core::slice::from_raw_parts_mut(base.add((j0 + cc) * ld + i0), rows) };
-            match beta {
-                Some(b) if b == T::ZERO => {
-                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                        *d = coeff * v;
-                    }
-                }
-                Some(b) => {
-                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                        *d = b * *d + coeff * v;
-                    }
-                }
-                None => {
-                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
-                        *d += coeff * v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn macrokernel_multi<T: Scalar>(
-    mb: usize,
-    kb: usize,
-    nb: usize,
-    packed_a: &[T],
-    packed_b: &[T],
-    dests: &mut [DestSpec<'_, T>],
-    coeffs: &[T],
-    ic: usize,
-    jc: usize,
-    first_k: bool,
-) {
-    let mpanels = mb.div_ceil(MR);
-    let npanels = nb.div_ceil(NR);
-    for qn in 0..npanels {
-        let col0 = qn * NR;
-        let cols = NR.min(nb - col0);
-        let pb = &packed_b[qn * NR * kb..(qn + 1) * NR * kb];
-        // A-row panels in pairs, so AVX-512 parts run the fused
-        // 2·MR x NR micro-kernel (see `super::kernel::microkernel_x2`).
-        let mut qm = 0;
-        while qm + 2 <= mpanels {
-            let pa0 = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let pa1 = &packed_a[(qm + 1) * MR * kb..(qm + 2) * MR * kb];
-            let mut acc0: AccTile<T> = [[T::ZERO; MR]; NR];
-            let mut acc1: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel_x2(kb, pa0, pa1, pb, &mut acc0, &mut acc1);
-            let rows0 = MR.min(mb - qm * MR);
-            let rows1 = MR.min(mb - (qm + 1) * MR);
-            scatter_tile(dests, coeffs, &acc0, ic + qm * MR, jc + col0, rows0, cols, first_k);
-            scatter_tile(dests, coeffs, &acc1, ic + (qm + 1) * MR, jc + col0, rows1, cols, first_k);
-            qm += 2;
-        }
-        if qm < mpanels {
-            let pa = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let mut acc: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel(kb, pa, pb, &mut acc);
-            let rows = MR.min(mb - qm * MR);
-            scatter_tile(dests, coeffs, &acc, ic + qm * MR, jc + col0, rows, cols, first_k);
-        }
-    }
-}
-
-/// Fused multiply: `C_d ← α δ_d (Σ γ_t op(A_t))(Σ γ_t op(B_t)) + β_d C_d`
-/// for every destination `d`, with the operand sums evaluated during
-/// packing and the destination updates performed at tile write-back.
-///
-/// # Panics
-/// On dimension mismatch between the operand sums and any destination,
-/// or if `dests` is empty or longer than [`MAX_DESTS`].
-pub fn gemm_fused<T: Scalar>(
-    cfg: &GemmConfig,
-    alpha: T,
-    a: &SumOperand<'_, T>,
-    b: &SumOperand<'_, T>,
-    dests: &mut [DestSpec<'_, T>],
-) {
-    assert!(
-        !dests.is_empty() && dests.len() <= MAX_DESTS,
-        "gemm_fused: need 1..={MAX_DESTS} destinations, got {}",
-        dests.len()
-    );
-    let (m, ka) = a.dims();
-    let (kb_dim, n) = b.dims();
-    assert_eq!(ka, kb_dim, "gemm_fused: inner dimensions disagree ({ka} vs {kb_dim})");
-    for dest in dests.iter() {
-        assert!(
-            dest.c.nrows() == m && dest.c.ncols() == n,
-            "gemm_fused: destination is {}x{}, expected {m}x{n}",
-            dest.c.nrows(),
-            dest.c.ncols()
-        );
-    }
-    let k = ka;
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        // Degenerate product: only the β-semantics of `init`
-        // destinations remain to be applied.
-        for dest in dests.iter_mut() {
-            if let Some(beta) = dest.beta {
-                scale_c(beta, &mut dest.c);
-            }
-        }
-        return;
-    }
-    let mut coeffs = [T::ZERO; MAX_DESTS];
-    for (slot, dest) in coeffs.iter_mut().zip(dests.iter()) {
-        *slot = alpha * dest.delta;
-    }
-
-    let (mc, kc, nc) = clamp_blocking(cfg, m, k, n);
-    let (a_len, b_len) = panel_lens(mc, kc, nc);
-    with_pack_bufs::<T, _>(a_len, b_len, |packed_a, packed_b| {
-        for jc in (0..n).step_by(nc) {
-            let nb = nc.min(n - jc);
-            for pc in (0..k).step_by(kc) {
-                let kb = kc.min(k - pc);
-                pack_b_sum(b, pc, jc, kb, nb, packed_b);
-                for ic in (0..m).step_by(mc) {
-                    let mb = mc.min(m - ic);
-                    pack_a_sum(a, ic, pc, mb, kb, packed_a);
-                    macrokernel_multi(
-                        mb,
-                        kb,
-                        nb,
-                        packed_a,
-                        packed_b,
-                        dests,
-                        &coeffs[..dests.len()],
-                        ic,
-                        jc,
-                        pc == 0,
-                    );
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Whole-level fused executor: every sub-product of one Strassen
-// recursion level through a single 5-loop nest with shared packed
-// panels.
 
 /// Largest supported block grid (`g ≤ 4`, i.e. up to two flattened
 /// Strassen levels — 4 x 4 quarter-blocks).
@@ -573,6 +108,12 @@ impl BlockTerms {
     pub fn iter(&self) -> impl Iterator<Item = (i8, u8)> + '_ {
         self.t[..self.len as usize].iter().copied()
     }
+
+    /// The block `q` when the operand is a bare `+X_q`, whose packed
+    /// panel the nest uses as is.
+    fn bare(&self) -> Option<usize> {
+        (self.len == 1 && self.t[0].0 == 1).then_some(self.t[0].1 as usize)
+    }
 }
 
 /// One fused sub-product `(Σ γ A_q)(Σ γ B_q) → Σ δ C_q` of a block
@@ -587,11 +128,16 @@ pub struct BlockProduct {
     pub c: BlockTerms,
 }
 
+/// The one-product table of a plain GEMM on a 1 x 1 grid:
+/// `+A₀ · +B₀ → +C₀`.
+pub(crate) const PLAIN: [BlockProduct; 1] =
+    [BlockProduct { a: BlockTerms::single(1, 0), b: BlockTerms::single(1, 0), c: BlockTerms::single(1, 0) }];
+
 /// Pack-slab requirement (elements of `T`) of one [`gemm_fused_level`]
-/// call at shape `m x k x n` over a `g x g` grid: one slot per grid block
-/// of A and of B plus one combination buffer each, all at the
-/// problem-clamped panel sizes. Exposed for the Table-1 memory
-/// accounting tests.
+/// call at shape `m x k x n` over a `g x g` grid whose table has operand
+/// sums (every Strassen table does): one slot per grid block of A and of
+/// B plus one combination buffer each, all at the problem-clamped panel
+/// sizes. Exposed for the Table-1 memory accounting tests.
 pub fn fused_level_pack_elements(cfg: &GemmConfig, m: usize, k: usize, n: usize, g: usize) -> usize {
     let (bm, bk, bn) = (m / g, k / g, n / g);
     let (mc, kc, nc) = clamp_blocking(cfg, bm, bk, bn);
@@ -599,11 +145,26 @@ pub fn fused_level_pack_elements(cfg: &GemmConfig, m: usize, k: usize, n: usize,
     (g * g + 1) * (a_len + b_len)
 }
 
-/// `dst ← Σ_t γ_t · slots[q_t]`, reusing the unrolled AXPY core of the
-/// packing fast paths. Packed layouts are position-identical across
-/// slots (same `(mb, kb)` or `(kb, nb)`), and packing is linear in its
-/// source — `pack(Σ γ X) = Σ γ pack(X)`, zero padding included — so
-/// combining after packing equals packing the combination.
+/// `dst[r] ← Σ_t γ_t · srcs_t[r]` with the term loop unrolled at compile
+/// time: `γ_0 · x_0` first, then one `mul_add` per further term.
+#[inline(always)]
+fn fill_sum_rows<T: Scalar, const L: usize>(dst: &mut [T], srcs: &[&[T]; L], gammas: &[T; L]) {
+    debug_assert!(srcs.iter().all(|s| s.len() == dst.len()));
+    for (r, d) in dst.iter_mut().enumerate() {
+        // SAFETY: every slice in `srcs` has dst.len() elements.
+        let mut v = unsafe { gammas[0] * *srcs[0].get_unchecked(r) };
+        for t in 1..L {
+            v = unsafe { gammas[t].mul_add(*srcs[t].get_unchecked(r), v) };
+        }
+        *d = v;
+    }
+}
+
+/// `dst ← Σ_t γ_t · slots[q_t]` over packed panels. Packed layouts are
+/// position-identical across slots (same `(mb, kb)` or `(kb, nb)`), and
+/// packing is linear in its source — `pack(Σ γ X) = Σ γ pack(X)`, zero
+/// padding included — so combining after packing equals packing the
+/// combination.
 fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slot_len: usize) {
     let lt = terms.len as usize;
     let mut srcs = [&[] as &[T]; MAX_TERMS];
@@ -622,6 +183,112 @@ fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slo
     }
 }
 
+/// One destination of the tile write-back: `c ← coeff · tile + β · c`,
+/// where an absent `β` accumulates into `c` as is.
+pub(crate) struct Dest<'a, T> {
+    pub(crate) c: MatMut<'a, T>,
+    pub(crate) coeff: T,
+    pub(crate) beta: Option<T>,
+}
+
+/// Write one accumulator tile into every destination at `(i0, j0)`.
+///
+/// `β = None` and `Some(1)` accumulate, `Some(0)` is a pure store (no
+/// read of the destination, so NaN there is cleared), and any other `β`
+/// fuses the scale into the write. The scalar sequences match a separate
+/// `β` pre-sweep bitwise: `b·d + coeff·v` is what `scale` then `+=`
+/// computed, and the exact multiply by one is skipped.
+fn scatter_tile<T: Scalar>(
+    dests: &mut [Dest<'_, T>],
+    acc: &AccTile<T>,
+    i0: usize,
+    j0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    for dest in dests.iter_mut() {
+        let (coeff, ld) = (dest.coeff, dest.c.ld());
+        // Hoist the destination base pointer: at leaf-sized `kb` the
+        // per-column slice checks of safe indexing cost as much as the
+        // micro-kernel itself.
+        let base = dest.c.as_mut_ptr();
+        for (cc, acc_col) in acc.iter().enumerate().take(cols) {
+            // SAFETY: rows i0..i0+rows of column j0+cc are in bounds by
+            // construction of the blocking, and `dests` holds exclusive
+            // borrows of disjoint matrices.
+            let cseg = unsafe { core::slice::from_raw_parts_mut(base.add((j0 + cc) * ld + i0), rows) };
+            match dest.beta {
+                None => {
+                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
+                        *d += coeff * v;
+                    }
+                }
+                Some(b) if b == T::ZERO => {
+                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
+                        *d = coeff * v;
+                    }
+                }
+                Some(b) if b == T::ONE => {
+                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
+                        *d += coeff * v;
+                    }
+                }
+                Some(b) => {
+                    for (d, &v) in cseg.iter_mut().zip(acc_col) {
+                        *d = b * *d + coeff * v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The macro-kernel: multiply one packed `mb x kb` A-block by one packed
+/// `kb x nb` B-panel and write each register tile into every destination
+/// at `(ic, jc)` of its view, walking the A-row panels in pairs so
+/// AVX-512 parts run the fused `2·MR x NR` micro-kernel.
+pub(crate) fn macrokernel_multi<T: Scalar>(
+    mb: usize,
+    kb: usize,
+    nb: usize,
+    packed_a: &[T],
+    packed_b: &[T],
+    dests: &mut [Dest<'_, T>],
+    ic: usize,
+    jc: usize,
+) {
+    // `scatter_tile` writes through raw pointers: the block must lie
+    // inside every destination view.
+    debug_assert!(dests.iter().all(|d| ic + mb <= d.c.nrows() && jc + nb <= d.c.ncols()));
+    let mpanels = mb.div_ceil(MR);
+    let npanels = nb.div_ceil(NR);
+    for qn in 0..npanels {
+        let col0 = qn * NR;
+        let cols = NR.min(nb - col0);
+        let pb = &packed_b[qn * NR * kb..(qn + 1) * NR * kb];
+        let mut qm = 0;
+        while qm + 2 <= mpanels {
+            let pa0 = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
+            let pa1 = &packed_a[(qm + 1) * MR * kb..(qm + 2) * MR * kb];
+            let mut acc0: AccTile<T> = [[T::ZERO; MR]; NR];
+            let mut acc1: AccTile<T> = [[T::ZERO; MR]; NR];
+            microkernel_x2(kb, pa0, pa1, pb, &mut acc0, &mut acc1);
+            let rows0 = MR.min(mb - qm * MR);
+            let rows1 = MR.min(mb - (qm + 1) * MR);
+            scatter_tile(dests, &acc0, ic + qm * MR, jc + col0, rows0, cols);
+            scatter_tile(dests, &acc1, ic + (qm + 1) * MR, jc + col0, rows1, cols);
+            qm += 2;
+        }
+        if qm < mpanels {
+            let pa = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
+            let mut acc: AccTile<T> = [[T::ZERO; MR]; NR];
+            microkernel(kb, pa, pb, &mut acc);
+            let rows = MR.min(mb - qm * MR);
+            scatter_tile(dests, &acc, ic + qm * MR, jc + col0, rows, cols);
+        }
+    }
+}
+
 /// Execute a whole fused block schedule — e.g. one Strassen recursion
 /// level — through a single 5-loop nest with **shared packed panels**:
 ///
@@ -633,12 +300,11 @@ fn combine_packed<T: Scalar>(dst: &mut [T], terms: &BlockTerms, slots: &[T], slo
 ///                         scatter into its δ-weighted C blocks
 /// ```
 ///
-/// Compared to one [`gemm_fused`] call per product (which re-packs its
-/// operand sums from scratch), every grid block of `A` and `B` is packed
-/// **once per cache block** and reused by all products that reference
-/// it — for Strassen's 7-product schedule that cuts B-packing traffic
-/// from 12 quadrant passes to 4 and A-packing from 12 to 4, and operand
-/// sums become cheap linear combinations of already-packed panels.
+/// Every grid block of `A` and `B` is packed **once per cache block** and
+/// reused by all products that reference it — for Strassen's 7-product
+/// schedule that is 4 B-packing and 4 A-packing quadrant passes instead
+/// of 12 each — and operand sums are cheap linear combinations of
+/// already-packed panels.
 ///
 /// Semantics, for each product `p` in order:
 /// `C_q ← α δ_q (Σ γ A_blk)(Σ γ B_blk) + [β C_q]` where `β` applies on
@@ -663,7 +329,7 @@ pub fn gemm_fused_level<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     beta: T,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
     products: &[BlockProduct],
     g: usize,
 ) {
@@ -681,6 +347,30 @@ pub fn gemm_fused_level<T: Scalar>(
         m % g == 0 && k % g == 0 && n % g == 0,
         "gemm_fused_level: {m}x{k}x{n} not divisible by grid {g}"
     );
+    let parallel = cfg.algo == GemmAlgo::BlockedParallel;
+    gemm_level(parallel, cfg, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c, products, g);
+}
+
+/// The nest behind [`gemm_fused_level`] and the packed path of
+/// [`super::gemm_blocked`], on operands `op(A)` and `op(B)` whose shapes
+/// the caller has checked. Only the one-block grid `g = 1` is called
+/// with `Trans`. `parallel` splits the jc loop into pool-task column
+/// groups.
+pub(crate) fn gemm_level<T: Scalar>(
+    parallel: bool,
+    cfg: &GemmConfig,
+    alpha: T,
+    op_a: Op,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    beta: T,
+    mut c: MatMut<'_, T>,
+    products: &[BlockProduct],
+    g: usize,
+) {
+    // The destination views in `fused_columns` are built from raw
+    // pointers, so the table is checked here, whoever the caller is.
     let g2 = g * g;
     for p in products {
         for terms in [&p.a, &p.b, &p.c] {
@@ -696,6 +386,8 @@ pub fn gemm_fused_level<T: Scalar>(
             }
         }
     }
+    let (m, k) = op_a.dims(&a);
+    let n = c.ncols();
     let (bm, bk, bn) = (m / g, k / g, n / g);
 
     // First product touching each C block — that touch carries β.
@@ -709,6 +401,7 @@ pub fn gemm_fused_level<T: Scalar>(
     }
 
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 || products.is_empty() {
+        // Degenerate product: only the β scaling remains.
         scale_c(beta, &mut c);
         return;
     }
@@ -722,12 +415,15 @@ pub fn gemm_fused_level<T: Scalar>(
     let nest = LevelNest {
         alpha,
         beta,
+        op_a,
         a,
+        op_b,
         b,
         c: CBase(c.as_mut_ptr()),
         ldc: c.ld(),
         products,
         first_touch,
+        combine: products.iter().any(|p| p.a.bare().is_none() || p.b.bare().is_none()),
         g,
         block: (bm, bk, bn),
         blocking: clamp_blocking(cfg, bm, bk, bn),
@@ -736,10 +432,7 @@ pub fn gemm_fused_level<T: Scalar>(
     // the iteration space (same kc chunking, same product order per
     // element), which is what keeps them bitwise equal to the serial
     // nest.
-    let ways = match cfg.algo {
-        GemmAlgo::BlockedParallel => parallel_ways(bm, bk, bn),
-        _ => 1,
-    };
+    let ways = if parallel { parallel_ways(bm, bk, bn) } else { 1 };
     // One group runs inline, before `balanced_quanta` allocates: the
     // serial path stays allocation-free after warm-up.
     if ways == 1 || bn <= NR {
@@ -765,9 +458,9 @@ struct CBase<T>(*mut T);
 
 // SAFETY: the one field is a pointer into C. Every task reads and
 // writes only its own column range of each C block (disjoint by
-// construction in `gemm_fused_level`), so no element is touched through
-// two copies of the pointer; `T: Send` because tasks on other threads
-// write the elements.
+// construction in `gemm_level`), so no element is touched through two
+// copies of the pointer; `T: Send` because tasks on other threads write
+// the elements.
 unsafe impl<T: Send> Send for CBase<T> {}
 unsafe impl<T: Send> Sync for CBase<T> {}
 
@@ -776,13 +469,18 @@ unsafe impl<T: Send> Sync for CBase<T> {}
 struct LevelNest<'a, T> {
     alpha: T,
     beta: T,
+    op_a: Op,
     a: MatRef<'a, T>,
+    op_b: Op,
     b: MatRef<'a, T>,
     c: CBase<T>,
     ldc: usize,
     products: &'a [BlockProduct],
     /// First product touching each C block — that touch carries β.
     first_touch: [usize; MAX_GRID_BLOCKS],
+    /// Some operand is a sum or a signed block, so the nest needs a
+    /// combination buffer for A and one for B.
+    combine: bool,
     g: usize,
     /// Block dimensions `(m/g, k/g, n/g)`.
     block: (usize, usize, usize),
@@ -790,20 +488,31 @@ struct LevelNest<'a, T> {
     blocking: (usize, usize, usize),
 }
 
+/// Stored view of grid block `q` of `op(X)`, a `rows x cols` block of a
+/// `g x g` partition.
+fn op_block<'a, T>(op: Op, x: MatRef<'a, T>, q: usize, g: usize, rows: usize, cols: usize) -> MatRef<'a, T> {
+    let (r0, c0) = ((q / g) * rows, (q % g) * cols);
+    match op {
+        Op::NoTrans => x.submatrix(r0, c0, rows, cols),
+        Op::Trans => x.submatrix(c0, r0, cols, rows),
+    }
+}
+
 /// The nest over columns `j0..j0 + w` of every block (the whole level
 /// when `(j0, w) = (0, n/g)`), with pack panels leased from this
 /// thread's buffer.
 fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
-    let &LevelNest { alpha, beta, a, b, ldc, products, g, .. } = nest;
+    let &LevelNest { alpha, beta, op_a, a, op_b, b, ldc, products, g, .. } = nest;
     let (bm, bk, bn) = nest.block;
     let (mc, kc, nc) = nest.blocking;
     let g2 = g * g;
     let (a_len, b_len) = panel_lens(mc, kc, nc.min(w.next_multiple_of(NR)));
+    let slots = g2 + usize::from(nest.combine);
 
-    with_pack_slab::<T, _>((g2 + 1) * (a_len + b_len), |slab| {
-        // Slab layout: one pack slot per grid block plus one combination
-        // buffer, for A then B.
-        let (a_region, b_region) = slab.split_at_mut((g2 + 1) * a_len);
+    with_pack_slab::<T, _>(slots * (a_len + b_len), |slab| {
+        // Slab layout: one pack slot per grid block plus, when the table
+        // has sums, one combination buffer, for A then B.
+        let (a_region, b_region) = slab.split_at_mut(slots * a_len);
         let (a_slots, comb_a) = a_region.split_at_mut(g2 * a_len);
         let (b_slots, comb_b) = b_region.split_at_mut(g2 * b_len);
 
@@ -824,48 +533,58 @@ fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
                         for (_, q) in p.a.iter() {
                             let q = q as usize;
                             if !a_valid[q] {
-                                let blk = a.submatrix((q / g) * bm, (q % g) * bk, bm, bk);
-                                let slot = &mut a_slots[q * a_len..q * a_len + a_used];
-                                pack_a(Op::NoTrans, &blk, ic, pc, mb, kb, slot);
+                                let blk = op_block(op_a, a, q, g, bm, bk);
+                                pack_a(
+                                    op_a,
+                                    &blk,
+                                    ic,
+                                    pc,
+                                    mb,
+                                    kb,
+                                    &mut a_slots[q * a_len..q * a_len + a_used],
+                                );
                                 a_valid[q] = true;
                             }
                         }
                         for (_, q) in p.b.iter() {
                             let q = q as usize;
                             if !b_valid[q] {
-                                let blk = b.submatrix((q / g) * bk, (q % g) * bn, bk, bn);
-                                let slot = &mut b_slots[q * b_len..q * b_len + b_used];
-                                pack_b(Op::NoTrans, &blk, pc, jc, kb, nb, slot);
+                                let blk = op_block(op_b, b, q, g, bk, bn);
+                                pack_b(
+                                    op_b,
+                                    &blk,
+                                    pc,
+                                    jc,
+                                    kb,
+                                    nb,
+                                    &mut b_slots[q * b_len..q * b_len + b_used],
+                                );
                                 b_valid[q] = true;
                             }
                         }
                         // Operand sums as combinations of packed panels; a
                         // bare `+X_q` term borrows the slot directly.
-                        let pa: &[T] = if p.a.len == 1 && p.a.t[0].0 == 1 {
-                            let q = p.a.t[0].1 as usize;
-                            &a_slots[q * a_len..q * a_len + a_used]
-                        } else {
-                            combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
-                            &comb_a[..a_used]
+                        let pa: &[T] = match p.a.bare() {
+                            Some(q) => &a_slots[q * a_len..q * a_len + a_used],
+                            None => {
+                                combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
+                                &comb_a[..a_used]
+                            }
                         };
-                        let pb: &[T] = if p.b.len == 1 && p.b.t[0].0 == 1 {
-                            let q = p.b.t[0].1 as usize;
-                            &b_slots[q * b_len..q * b_len + b_used]
-                        } else {
-                            combine_packed(&mut comb_b[..b_used], &p.b, b_slots, b_len);
-                            &comb_b[..b_used]
+                        let pb: &[T] = match p.b.bare() {
+                            Some(q) => &b_slots[q * b_len..q * b_len + b_used],
+                            None => {
+                                combine_packed(&mut comb_b[..b_used], &p.b, b_slots, b_len);
+                                &comb_b[..b_used]
+                            }
                         };
 
-                        let mut coeffs = [T::ZERO; MAX_DESTS];
-                        for (slot, (dl, _)) in coeffs.iter_mut().zip(p.c.iter()) {
-                            *slot = alpha * T::from_f64(dl as f64);
-                        }
-                        let mk = |t: usize| {
+                        let dest = |t: usize| {
                             let (dl, q) = p.c.t[t];
                             let q = q as usize;
                             // SAFETY: grid blocks are disjoint, a product
                             // never lists the same block twice (checked in
-                            // `gemm_fused_level`), column groups own
+                            // `gemm_level`), column groups own
                             // disjoint columns, and the parent view `c` is
                             // dormant while the block views are live.
                             let view = unsafe {
@@ -876,22 +595,21 @@ fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
                                     ldc,
                                 )
                             };
-                            let delta = T::from_f64(dl as f64);
-                            if pc == 0 && nest.first_touch[q] == pi {
-                                DestSpec::init(view, delta, beta)
-                            } else {
-                                DestSpec::update(view, delta)
+                            let first = pc == 0 && nest.first_touch[q] == pi;
+                            Dest {
+                                c: view,
+                                coeff: alpha * T::from_f64(dl as f64),
+                                beta: first.then_some(beta),
                             }
                         };
-                        let lc = p.c.len as usize;
-                        let run = |dests: &mut [DestSpec<'_, T>]| {
-                            macrokernel_multi(mb, kb, nb, pa, pb, dests, &coeffs[..lc], ic, jc - j0, true);
+                        let run = |dests: &mut [Dest<'_, T>]| {
+                            macrokernel_multi(mb, kb, nb, pa, pb, dests, ic, jc - j0);
                         };
-                        match lc {
-                            1 => run(&mut [mk(0)]),
-                            2 => run(&mut [mk(0), mk(1)]),
-                            3 => run(&mut [mk(0), mk(1), mk(2)]),
-                            _ => run(&mut [mk(0), mk(1), mk(2), mk(3)]),
+                        match p.c.len {
+                            1 => run(&mut [dest(0)]),
+                            2 => run(&mut [dest(0), dest(1)]),
+                            3 => run(&mut [dest(0), dest(1), dest(2)]),
+                            _ => run(&mut [dest(0), dest(1), dest(2), dest(3)]),
                         }
                     }
                 }
@@ -904,135 +622,6 @@ fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
 mod tests {
     use super::*;
     use matrix::{random, Matrix};
-
-    fn materialize(sum: &SumOperand<'_, f64>) -> Matrix<f64> {
-        let (r, c) = (sum.terms[0].1.nrows(), sum.terms[0].1.ncols());
-        Matrix::from_fn(r, c, |i, j| sum.terms[..sum.len].iter().map(|(g, x)| g * x.at(i, j)).sum())
-    }
-
-    #[test]
-    fn pack_a_sum_matches_pack_a_on_materialized_sum() {
-        let x0 = random::uniform::<f64>(11, 9, 1);
-        let x1 = random::uniform::<f64>(11, 9, 2);
-        let sum = SumOperand::new(Op::NoTrans, &[(1.0, x0.as_ref()), (-1.0, x1.as_ref())]);
-        let mat = materialize(&sum);
-        let (mb, kb) = (7usize, 5usize);
-        let len = mb.div_ceil(MR) * MR * kb;
-        let mut got = vec![f64::NAN; len];
-        let mut expect = vec![f64::NAN; len];
-        pack_a_sum(&sum, 2, 3, mb, kb, &mut got);
-        pack_a(Op::NoTrans, &mat.as_ref(), 2, 3, mb, kb, &mut expect);
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pack_b_sum_matches_pack_b_with_transpose() {
-        // op(Σ) = (X0 + 2·X1)ᵀ where the stored views are 9x12.
-        let x0 = random::uniform::<f64>(9, 12, 3);
-        let x1 = random::uniform::<f64>(9, 12, 4);
-        let sum = SumOperand::new(Op::Trans, &[(1.0, x0.as_ref()), (2.0, x1.as_ref())]);
-        let mat = materialize(&sum); // 9x12; pack with Op::Trans sees 12x9
-        let (kb, nb) = (10usize, 8usize);
-        let len = nb.div_ceil(NR) * NR * kb;
-        let mut got = vec![f64::NAN; len];
-        let mut expect = vec![f64::NAN; len];
-        pack_b_sum(&sum, 1, 0, kb, nb, &mut got);
-        pack_b(Op::Trans, &mat.as_ref(), 1, 0, kb, nb, &mut expect);
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn four_term_sum_and_padding_coeffs_are_inert() {
-        let xs: Vec<Matrix<f64>> = (0..4).map(|s| random::uniform::<f64>(6, 6, s as u64)).collect();
-        let terms: Vec<(f64, matrix::MatRef<'_, f64>)> =
-            xs.iter().zip([1.0, -1.0, -1.0, 1.0]).map(|(x, g)| (g, x.as_ref())).collect();
-        let sum = SumOperand::new(Op::NoTrans, &terms);
-        let mat = materialize(&sum);
-        let mut got = vec![0.0; MR * 6];
-        let mut expect = vec![0.0; MR * 6];
-        pack_a_sum(&sum, 0, 0, 6, 6, &mut got);
-        pack_a(Op::NoTrans, &mat.as_ref(), 0, 0, 6, 6, &mut expect);
-        assert_eq!(got, expect);
-
-        // A one-term operand must ignore the padding slots entirely.
-        let single = SumOperand::single(Op::NoTrans, xs[0].as_ref());
-        let mut got1 = vec![0.0; MR * 6];
-        pack_a_sum(&single, 0, 0, 6, 6, &mut got1);
-        let mut expect1 = vec![0.0; MR * 6];
-        pack_a(Op::NoTrans, &xs[0].as_ref(), 0, 0, 6, 6, &mut expect1);
-        assert_eq!(got1, expect1);
-    }
-
-    #[test]
-    fn fused_multi_dest_matches_separate_gemm_plus_add() {
-        // Odd/rectangular shapes so tile edges are exercised.
-        let cfg = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
-        let (m, k, n) = (13, 9, 17);
-        let a0 = random::uniform::<f64>(m, k, 10);
-        let a1 = random::uniform::<f64>(m, k, 11);
-        let b0 = random::uniform::<f64>(k, n, 12);
-        let c0_init = random::uniform::<f64>(m, n, 13);
-        let c1_init = random::uniform::<f64>(m, n, 14);
-
-        let alpha = 0.7;
-        let a_sum = SumOperand::new(Op::NoTrans, &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())]);
-        let b_sum = SumOperand::single(Op::NoTrans, b0.as_ref());
-
-        let mut c0 = c0_init.clone();
-        let mut c1 = c1_init.clone();
-        {
-            let mut dests = [DestSpec::init(c0.as_mut(), 1.0, -0.5), DestSpec::update(c1.as_mut(), -1.0)];
-            gemm_fused(&cfg, alpha, &a_sum, &b_sum, &mut dests);
-        }
-
-        // Reference: materialize A0 - A1, separate GEMMs per destination.
-        let diff = materialize(&a_sum);
-        let mut e0 = c0_init.clone();
-        let mut e1 = c1_init.clone();
-        super::super::gemm_blocked(
-            &cfg,
-            alpha,
-            Op::NoTrans,
-            diff.as_ref(),
-            Op::NoTrans,
-            b0.as_ref(),
-            -0.5,
-            e0.as_mut(),
-        );
-        super::super::gemm_blocked(
-            &cfg,
-            -alpha,
-            Op::NoTrans,
-            diff.as_ref(),
-            Op::NoTrans,
-            b0.as_ref(),
-            1.0,
-            e1.as_mut(),
-        );
-        matrix::norms::assert_allclose(c0.as_ref(), e0.as_ref(), 1e-12, "dest 0");
-        matrix::norms::assert_allclose(c1.as_ref(), e1.as_ref(), 1e-12, "dest 1");
-    }
-
-    #[test]
-    fn beta_zero_first_touch_clears_nan() {
-        let cfg = GemmConfig::blocked();
-        let a = Matrix::from_row_major(1, 1, &[2.0]);
-        let b = Matrix::from_row_major(1, 1, &[3.0]);
-        let mut c = Matrix::from_row_major(1, 1, &[f64::NAN]);
-        let a_sum = SumOperand::single(Op::NoTrans, a.as_ref());
-        let b_sum = SumOperand::single(Op::NoTrans, b.as_ref());
-        let mut dests = [DestSpec::init(c.as_mut(), 1.0, 0.0)];
-        gemm_fused(&cfg, 1.0, &a_sum, &b_sum, &mut dests);
-        assert_eq!(c.at(0, 0), 6.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "term shapes disagree")]
-    fn mismatched_term_shapes_panic() {
-        let x0 = Matrix::<f64>::zeros(3, 3);
-        let x1 = Matrix::<f64>::zeros(3, 4);
-        let _ = SumOperand::new(Op::NoTrans, &[(1.0, x0.as_ref()), (1.0, x1.as_ref())]);
-    }
 
     /// Strassen's 1969 seven-product table over flat 2x2 block indices
     /// (q = row·2 + col).
@@ -1047,6 +636,158 @@ mod tests {
             BlockProduct { a: t(&[(1, 2), (-1, 0)]), b: t(&[(1, 0), (1, 1)]), c: t(&[(1, 3)]) },
             BlockProduct { a: t(&[(1, 1), (-1, 3)]), b: t(&[(1, 2), (1, 3)]), c: t(&[(1, 0)]) },
         ]
+    }
+
+    /// `Σ γ_t · X_t` with the γ-ordered chain `combine_packed` uses:
+    /// `γ_0 · x_0`, then one `mul_add` per further term.
+    fn materialize(terms: &[(f64, &Matrix<f64>)]) -> Matrix<f64> {
+        let (r, c) = (terms[0].1.nrows(), terms[0].1.ncols());
+        Matrix::from_fn(r, c, |i, j| {
+            let mut v = terms[0].0 * terms[0].1.at(i, j);
+            for (g, x) in &terms[1..] {
+                v = g.mul_add(x.at(i, j), v);
+            }
+            v
+        })
+    }
+
+    /// `op(X)` stored for `op`: an `rows x cols` matrix, or its transpose
+    /// in storage.
+    fn stored(op: Op, rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+        match op {
+            Op::NoTrans => random::uniform::<f64>(rows, cols, seed),
+            Op::Trans => random::uniform::<f64>(cols, rows, seed),
+        }
+    }
+
+    /// Packing is linear: combining the packed panels of 1–4 blocks with
+    /// ±1 coefficients must equal, bit for bit, packing the sum
+    /// materialized with the same γ-ordered `mul_add` chain. `pack` packs
+    /// one source into a `panel_len` buffer.
+    fn assert_combination_packs_like_the_sum(
+        xs: &[Matrix<f64>],
+        panel_len: usize,
+        pack: impl Fn(&Matrix<f64>, &mut [f64]),
+        what: &str,
+    ) {
+        let signs: [i8; MAX_TERMS] = [1, -1, -1, 1];
+        for len in 1..=MAX_TERMS {
+            let terms = BlockTerms::new(&(0..len).map(|t| (signs[t], t as u8)).collect::<Vec<_>>());
+            let sum = materialize(&(0..len).map(|t| (signs[t] as f64, &xs[t])).collect::<Vec<_>>());
+            let mut slots = vec![f64::NAN; len * panel_len];
+            for (x, slot) in xs.iter().zip(slots.chunks_exact_mut(panel_len)) {
+                pack(x, slot);
+            }
+            let (mut got, mut want) = (vec![f64::NAN; panel_len], vec![f64::NAN; panel_len]);
+            combine_packed(&mut got, &terms, &slots, panel_len);
+            pack(&sum, &mut want);
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()), "{what}, {len} terms");
+        }
+    }
+
+    #[test]
+    fn pack_a_sum_matches_pack_a_on_materialized_sum() {
+        // An A-operand sum is the combination of its blocks' packed
+        // panels: an MR tail, a nonzero (ic, pc), zero padding, both ops.
+        let (ic, pc, mb, kb) = (3, 2, 2 * MR + 3, 11);
+        let len = mb.div_ceil(MR) * MR * kb;
+        for op in [Op::NoTrans, Op::Trans] {
+            let xs: Vec<_> =
+                (0..MAX_TERMS as u64).map(|s| stored(op, ic + mb + 2, pc + kb + 2, 80 + s)).collect();
+            let pack = |x: &Matrix<f64>, buf: &mut [f64]| pack_a(op, &x.as_ref(), ic, pc, mb, kb, buf);
+            assert_combination_packs_like_the_sum(&xs, len, pack, &format!("A {op:?}"));
+        }
+    }
+
+    #[test]
+    fn pack_b_sum_matches_pack_b_with_transpose() {
+        // The B side: an NR tail, a nonzero (pc, jc), zero padding, and
+        // op(Σ γ X) = (Σ γ X)ᵀ as well as the untransposed sum.
+        let (pc, jc, kb, nb) = (1, 5, 10, 2 * NR + 1);
+        let len = nb.div_ceil(NR) * NR * kb;
+        for op in [Op::NoTrans, Op::Trans] {
+            let xs: Vec<_> =
+                (0..MAX_TERMS as u64).map(|s| stored(op, pc + kb + 2, jc + nb + 2, 90 + s)).collect();
+            let pack = |x: &Matrix<f64>, buf: &mut [f64]| pack_b(op, &x.as_ref(), pc, jc, kb, nb, buf);
+            assert_combination_packs_like_the_sum(&xs, len, pack, &format!("B {op:?}"));
+        }
+    }
+
+    #[test]
+    fn four_term_sum_and_padding_coeffs_are_inert() {
+        // Entries past `len` never contribute: a one-term `−X_1` whose
+        // other three slots look live combines to exactly `−slot 1`.
+        let slots: Vec<f64> = (0..4 * MR).map(|i| i as f64 + 0.5).collect();
+        let padded = BlockTerms { t: [(-1, 1), (1, 2), (1, 3), (1, 0)], len: 1 };
+        let mut got = vec![f64::NAN; MR];
+        combine_packed(&mut got, &padded, &slots, MR);
+        let want: Vec<f64> = slots[MR..2 * MR].iter().map(|x| -x).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fused_multi_dest_matches_separate_gemm_plus_add() {
+        // Product 1, (A11 − A12)·B11, scatters into C11 (δ = 1, its first
+        // touch, so it applies β) and C22 (δ = −1, accumulating onto
+        // product 0's first touch), on odd blocks so tile edges are
+        // exercised.
+        let cfg = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
+        let (bm, bk, bn) = (13, 9, 17);
+        let a = random::uniform::<f64>(2 * bm, 2 * bk, 10);
+        let b = random::uniform::<f64>(2 * bk, 2 * bn, 12);
+        let c_init = random::uniform::<f64>(2 * bm, 2 * bn, 13);
+        let table = [
+            BlockProduct {
+                a: BlockTerms::single(1, 3),
+                b: BlockTerms::single(1, 3),
+                c: BlockTerms::single(1, 3),
+            },
+            BlockProduct {
+                a: BlockTerms::new(&[(1, 0), (-1, 1)]),
+                b: BlockTerms::single(1, 0),
+                c: BlockTerms::new(&[(1, 0), (-1, 3)]),
+            },
+        ];
+        let (alpha, beta) = (0.7, -0.5);
+        let mut got = c_init.clone();
+        gemm_fused_level(&cfg, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut(), &table, 2);
+
+        // Reference: materialize A11 − A12, then separate GEMMs per block.
+        let quad = |x: &Matrix<f64>, q: usize, r: usize, c: usize| {
+            x.as_ref().submatrix((q / 2) * r, (q % 2) * c, r, c).to_owned_matrix()
+        };
+        let diff = materialize(&[(1.0, &quad(&a, 0, bm, bk)), (-1.0, &quad(&a, 1, bm, bk))]);
+        let mut want = c_init.clone();
+        let mut w = want.as_mut();
+        let gemm = |al: f64, x: &Matrix<f64>, y: &Matrix<f64>, be: f64, c: MatMut<'_, f64>| {
+            super::super::gemm_blocked(&cfg, al, Op::NoTrans, x.as_ref(), Op::NoTrans, y.as_ref(), be, c)
+        };
+        gemm(alpha, &quad(&a, 3, bm, bk), &quad(&b, 3, bk, bn), beta, w.submatrix_mut(bm, bn, bm, bn));
+        gemm(alpha, &diff, &quad(&b, 0, bk, bn), beta, w.submatrix_mut(0, 0, bm, bn));
+        gemm(-alpha, &diff, &quad(&b, 0, bk, bn), 1.0, w.submatrix_mut(bm, bn, bm, bn));
+        for q in [1, 2] {
+            super::super::scale_in_place(beta, w.submatrix_mut((q / 2) * bm, (q % 2) * bn, bm, bn));
+        }
+        matrix::norms::assert_allclose(got.as_ref(), want.as_ref(), 1e-12, "two destinations");
+    }
+
+    #[test]
+    fn beta_zero_first_touch_clears_nan() {
+        let cfg = GemmConfig::blocked();
+        let a = Matrix::from_row_major(1, 1, &[2.0]);
+        let b = Matrix::from_row_major(1, 1, &[3.0]);
+        let mut c = Matrix::from_row_major(1, 1, &[f64::NAN]);
+        gemm_fused_level(&cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), &PLAIN, 1);
+        assert_eq!(c.at(0, 0), 6.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "block index outside grid")]
+    fn block_index_outside_grid_panics() {
+        let x = Matrix::<f64>::zeros(4, 4);
+        let mut c = Matrix::<f64>::zeros(4, 4);
+        let table = [BlockProduct { a: BlockTerms::single(1, 4), ..PLAIN[0] }];
+        gemm_fused_level(&GemmConfig::blocked(), 1.0, x.as_ref(), x.as_ref(), 0.0, c.as_mut(), &table, 2);
     }
 
     #[test]
@@ -1171,14 +912,14 @@ mod tests {
 
     #[test]
     fn fused_level_matches_per_product_fused_calls() {
-        // The shared-panel executor must agree with running each product
-        // as its own gemm_fused call (the pre-level formulation) — the
-        // combination of packed panels is numerically the packing of the
-        // combination because both use the same γ-ordered mul_add chain.
+        // The shared-panel level must agree with running each product as
+        // its own one-product fused call, β applied once up front and
+        // every call accumulating (β = 1). With one kc block (bk = 9 ≤
+        // kc) every element sees the same operations in the same order,
+        // so the two agree bit for bit.
         let cfg = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
         let table = strassen_table();
         let (m, k, n) = (26, 18, 34);
-        let (bm, bk, bn) = (m / 2, k / 2, n / 2);
         let a = random::uniform::<f64>(m, k, 61);
         let b = random::uniform::<f64>(k, n, 62);
         let c0 = random::uniform::<f64>(m, n, 63);
@@ -1188,45 +929,19 @@ mod tests {
         gemm_fused_level(&cfg, 1.1, a.as_ref(), b.as_ref(), beta, got.as_mut(), &table, 2);
 
         let mut want = c0.clone();
-        let mut seen = [false; 4];
-        fn terms<'s>(
-            bt: &BlockTerms,
-            src: matrix::MatRef<'s, f64>,
-            rdim: usize,
-            cdim: usize,
-        ) -> Vec<(f64, matrix::MatRef<'s, f64>)> {
-            bt.iter()
-                .map(|(gm, q)| {
-                    let (r, cc) = (q as usize / 2, q as usize % 2);
-                    (gm as f64, src.submatrix(r * rdim, cc * cdim, rdim, cdim))
-                })
-                .collect()
-        }
+        crate::level3::scale_in_place(beta, want.as_mut());
         for p in &table {
-            let sa = SumOperand::new(Op::NoTrans, &terms(&p.a, a.as_ref(), bm, bk));
-            let sb = SumOperand::new(Op::NoTrans, &terms(&p.b, b.as_ref(), bk, bn));
-            let ld = want.as_mut().ld();
-            let base = want.as_mut().as_mut_ptr();
-            let mut mk = |t: usize| {
-                let (dl, q) = p.c.t[t];
-                let q = q as usize;
-                let view = unsafe {
-                    matrix::MatMut::from_raw_parts(base.add((q / 2) * bm + (q % 2) * bn * ld), bm, bn, ld)
-                };
-                let first = !seen[q];
-                seen[q] = true;
-                if first {
-                    DestSpec::init(view, dl as f64, beta)
-                } else {
-                    DestSpec::update(view, dl as f64)
-                }
-            };
-            match p.c.len {
-                1 => gemm_fused(&cfg, 1.1, &sa, &sb, &mut [mk(0)]),
-                _ => gemm_fused(&cfg, 1.1, &sa, &sb, &mut [mk(0), mk(1)]),
-            }
+            gemm_fused_level(
+                &cfg,
+                1.1,
+                a.as_ref(),
+                b.as_ref(),
+                1.0,
+                want.as_mut(),
+                core::slice::from_ref(p),
+                2,
+            );
         }
-        let diff = matrix::norms::rel_diff(got.as_ref(), want.as_ref());
-        assert!(diff < 1e-13, "rel diff {diff:.3e}");
+        assert!(got.as_slice() == want.as_slice(), "fused level differs from per-product calls");
     }
 }

@@ -5,6 +5,16 @@
 //! kernels are provided; which one runs is part of [`GemmConfig`], and the
 //! experiment harness uses different configs as stand-ins for the paper's
 //! three machines (see DESIGN.md §2).
+//!
+//! Every packed product runs one BLIS 5-loop nest, the one in [`fused`]:
+//! [`gemm_blocked`] is its one-block, one-product case, and
+//! [`gemm_fused_level`] runs a whole Strassen level through it with
+//! operand sums folded into packing and destination updates into the
+//! tile write-back. [`gemm_parallel`] splits that nest's column loop over
+//! the pool, and its row loop too when `n` is narrow. Small `f64`
+//! products on AVX-512 parts skip packing (an unpacked tier, bitwise
+//! equal to the nest); [`gemm_naive`] and [`gemm_blocked_classic`] are
+//! the unblocked and pre-5-loop references the tests pin against.
 
 mod blocked;
 mod classic;
@@ -22,7 +32,7 @@ pub mod trsm;
 pub use blocked::{gemm_blocked, gemm_pack_elements};
 pub use classic::gemm_blocked_classic;
 pub use fused::{fused_level_pack_elements, MAX_DESTS, MAX_GRID, MAX_TERMS};
-pub use fused::{gemm_fused, gemm_fused_level, BlockProduct, BlockTerms, DestSpec, SumOperand};
+pub use fused::{gemm_fused_level, BlockProduct, BlockTerms};
 pub use kernel::{kernel_class, KernelClass, MR, NR};
 pub use naive::gemm_naive;
 pub use packbuf::pack_buf_capacity_words;

@@ -6,15 +6,19 @@
 //!
 //! - **jc (column groups).** `n` is carved into `jc_ways` balanced,
 //!   `NR`-quantized column groups — one task each. Every group owns its
-//!   columns of `C` and `B` outright, so groups never synchronize.
+//!   columns of `C` and `B` outright, so groups never synchronize. When
+//!   the groups alone fill the machine this is the packed nest's own
+//!   split ([`super::fused`]'s column groups, shared with the fused
+//!   Strassen level).
 //! - **ic (row blocks).** Workers left over after the jc split
 //!   (`ic_ways = threads / jc_ways`, the narrow-`n` regime where column
-//!   groups alone cannot fill the machine) cooperate *inside* each
-//!   group: per `(jc, pc)` step they first pack disjoint `NR`-panel
-//!   ranges of the shared `B` panel, then each packs its own `A`
-//!   row-panels and updates a disjoint row block of the `C` panel,
-//!   sharing the packed `B` read-only — the Goto/BLIS recipe (pack `B`
-//!   once per (jc, pc), many `A` packers against it).
+//!   groups alone cannot fill the machine, so each group is a single
+//!   `NR` panel) cooperate *inside* each group (`panel_nested`): per
+//!   `(jc, pc)` step they first pack disjoint `NR`-panel ranges of the
+//!   shared `B` panel, then each packs its own `A` row-panels and
+//!   updates a disjoint row block of the `C` panel, sharing the packed
+//!   `B` read-only — the Goto/BLIS recipe (pack `B` once per (jc, pc),
+//!   many `A` packers against it).
 //!
 //! The split is *balanced by quanta* ([`balanced_quanta`]): `ways`
 //! partitions differ by at most one `NR` (or `MR`) quantum and every
@@ -34,9 +38,10 @@
 //! bitwise identical to serial ones — the property the scheduler
 //! determinism tests pin end to end.
 
-use super::blocked::{clamp_blocking, gemm_blocked, macrokernel, pack_a, pack_b, panel_lens};
+use super::blocked::{clamp_blocking, gemm_blocked, pack_a, pack_b, panel_lens};
+use super::fused::{gemm_level, macrokernel_multi, Dest, PLAIN};
 use super::kernel::{MR, NR};
-use super::packbuf::{with_pack_bufs, with_pack_slab};
+use super::packbuf::with_pack_slab;
 use super::{check_gemm_dims, scale_c, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
@@ -90,112 +95,38 @@ pub fn gemm_parallel<T: Scalar>(
         // Degenerate product: only the β scaling remains.
         return scale_c(beta, &mut c);
     }
-    // Identical clamping to the serial kernel: same kc ⇒ same per-element
-    // accumulation splits ⇒ bitwise-identical results (module docs).
-    let (mc, kc, nc) = clamp_blocking(cfg, m, k, n);
-
     // Fill the machine column-groups-first (they share nothing), then
-    // give leftover workers to the ic loop inside each group.
-    let col_quanta = balanced_quanta(n.div_ceil(NR), threads);
-    let jc_ways = col_quanta.len();
+    // give leftover workers to the ic loop inside each group. The group
+    // count is `balanced_quanta(n.div_ceil(NR), threads).len()`.
+    let jc_ways = threads.min(n.div_ceil(NR));
     let ic_ways = (threads / jc_ways).min(m.div_ceil(MR)).max(1);
     if jc_ways == 1 && ic_ways == 1 {
         return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
     }
-
-    // Carve C into the balanced disjoint column-group views up front.
-    let mut groups: Vec<(usize, MatMut<'_, T>)> = Vec::with_capacity(jc_ways);
-    let mut rest = c;
-    let mut jc = 0;
-    for &quanta in &col_quanta {
-        let nw = (quanta * NR).min(n - jc);
-        let (head, tail) = rest.split_cols(nw);
-        groups.push((jc, head));
-        rest = tail;
-        jc += nw;
+    if ic_ways == 1 {
+        // Column groups alone fill the machine: the level nest's own
+        // split, with the same `parallel_ways` and `balanced_quanta`.
+        return gemm_level(true, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1);
     }
 
+    // Narrow n: fewer column quanta than threads, so every group is one
+    // NR-wide panel (never wider than nc), and `ic_ways` workers share
+    // its rows. Identical clamping to the serial kernel: same kc ⇒ same
+    // per-element accumulation splits ⇒ bitwise-identical results.
+    let (mc, kc, _) = clamp_blocking(cfg, m, k, n);
+    let (a_ref, b_ref) = (&a, &b);
     pool::scope(|scope| {
-        for (group, (jc0, cgroup)) in groups.into_iter().enumerate() {
-            let (a_ref, b_ref) = (&a, &b);
+        let mut rest = c;
+        for (group, jc) in (0..n).step_by(NR).enumerate() {
+            let (cpanel, tail) = rest.split_cols(NR.min(n - jc));
+            rest = tail;
             // Timeline tags (see pool::ring::tag) let the trace exporter
             // distinguish the GEMM task roles; they never affect
             // scheduling.
             let tag = pool::ring::tag::gemm_task(0, group as u8);
             scope.spawn_tagged(None, tag, move || {
-                column_group(alpha, beta, op_a, a_ref, op_b, b_ref, cgroup, jc0, m, k, mc, kc, nc, ic_ways);
+                panel_nested(alpha, beta, op_a, a_ref, op_b, b_ref, cpanel, jc, m, k, mc, kc, ic_ways);
             });
-        }
-    });
-}
-
-/// One jc task: the pc/ic loops over a private column group
-/// `C[:, jc0 .. jc0 + cgroup.ncols())`.
-#[allow(clippy::too_many_arguments)]
-fn column_group<T: Scalar>(
-    alpha: T,
-    beta: T,
-    op_a: Op,
-    a: &MatRef<'_, T>,
-    op_b: Op,
-    b: &MatRef<'_, T>,
-    mut cgroup: MatMut<'_, T>,
-    jc0: usize,
-    m: usize,
-    k: usize,
-    mc: usize,
-    kc: usize,
-    nc: usize,
-    ic_ways: usize,
-) {
-    let nw = cgroup.ncols();
-    let mut jcc = 0;
-    while jcc < nw {
-        let nb = nc.min(nw - jcc);
-        let (cpanel, tail) = cgroup.split_cols(nb);
-        cgroup = tail;
-        let jc = jc0 + jcc;
-        if ic_ways == 1 {
-            panel_serial(alpha, beta, op_a, a, op_b, b, cpanel, jc, m, k, mc, kc);
-        } else {
-            panel_nested(alpha, beta, op_a, a, op_b, b, cpanel, jc, m, k, mc, kc, ic_ways);
-        }
-        jcc += nb;
-    }
-}
-
-/// All workers are consumed by the jc split: classic private 5-loop over
-/// one `C` column panel, per-task pack buffers.
-#[allow(clippy::too_many_arguments)]
-fn panel_serial<T: Scalar>(
-    alpha: T,
-    beta: T,
-    op_a: Op,
-    a: &MatRef<'_, T>,
-    op_b: Op,
-    b: &MatRef<'_, T>,
-    mut cpanel: MatMut<'_, T>,
-    jc: usize,
-    m: usize,
-    k: usize,
-    mc: usize,
-    kc: usize,
-) {
-    let nb = cpanel.ncols();
-    let (a_len, b_len) = panel_lens(mc, kc, nb);
-    with_pack_bufs::<T, _>(a_len, b_len, |packed_a, packed_b| {
-        for pc in (0..k).step_by(kc) {
-            let kb = kc.min(k - pc);
-            pack_b(op_b, b, pc, jc, kb, nb, packed_b);
-            // This task owns its panel of C outright, so the first rank
-            // update applies β — no pre-sweep, no coordination.
-            let beta_eff = if pc == 0 { Some(beta) } else { None };
-            for ic in (0..m).step_by(mc) {
-                let mb = mc.min(m - ic);
-                pack_a(op_a, a, ic, pc, mb, kb, packed_a);
-                // cpanel's column 0 is global column jc, so pass jc=0.
-                macrokernel(alpha, beta_eff, mb, kb, nb, packed_a, packed_b, &mut cpanel, ic, 0);
-            }
         }
     });
 }
@@ -269,9 +200,8 @@ fn panel_nested<T: Scalar>(
                             for icc in (0..rows).step_by(mc) {
                                 let mb = mc.min(rows - icc);
                                 pack_a(op_a, a, row0 + icc, pc, mb, kb, packed_a);
-                                macrokernel(
-                                    alpha, beta_eff, mb, kb, nb, packed_a, packed_b, &mut crows, icc, 0,
-                                );
+                                let dest = Dest { c: crows.rb_mut(), coeff: alpha, beta: beta_eff };
+                                macrokernel_multi(mb, kb, nb, packed_a, packed_b, &mut [dest], icc, 0);
                             }
                         });
                     });

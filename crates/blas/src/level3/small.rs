@@ -14,7 +14,7 @@
 //! path: `k` is chunked by the same clamped `kc`; within a chunk the
 //! accumulator starts at `+0` and takes one fused multiply-add per `kk`
 //! in ascending order (the AVX-512 micro-kernel's chain); the first
-//! chunk folds `β` the way `write_tile` does (`β = 0` stores `α·acc`
+//! chunk folds `β` the way `scatter_tile` does (`β = 0` stores `α·acc`
 //! without reading `C`, `β = 1` adds `α·acc`, any other `β` computes
 //! `β·c + α·acc`) and later chunks add `α·acc`. Products and sums are
 //! rounded separately, as in the scalar write-back. Which tier ran is
@@ -95,7 +95,7 @@ mod avx512 {
     use matrix::{MatMut, MatRef};
 
     /// How one chunk's accumulator lands in `C` — the packed nest's
-    /// `write_tile` cases.
+    /// `scatter_tile` cases.
     #[derive(Clone, Copy)]
     enum Fold {
         /// `c = α·acc` (first chunk, `β = 0`): `C` is never read.

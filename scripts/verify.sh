@@ -33,15 +33,18 @@ cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 echo "== 5/17 AddressSanitizer over the unsafe kernels (nightly) =="
 # The blas unit tests (micro-kernels, packers, the unpacked small tier's
 # masked loads and stores, the pack-buffer lease), the kernel
-# conformance suite, the fused add-pack kernels and the ⟨m,k,n⟩ family
-# engine under ASan. A mask one lane too wide in the small tier reads or
-# writes past a view's last column and fails here as a
+# conformance suite, the fused Strassen level, the ⟨m,k,n⟩ family
+# engine and the Table-1 memory tests under ASan. A mask one lane too
+# wide in the small tier reads or writes past a view's last column, and
+# a packed nest that overruns its pack slab (table1_memory leases it at
+# exactly its computed size), and either fails here as a
 # heap-buffer-overflow. Own target directory: the sanitized build must
 # not mix with the release artifacts above.
 ASAN=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
     cargo +nightly test --offline -q --target x86_64-unknown-linux-gnu)
 "${ASAN[@]}" -p strassen-blas --lib
-"${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test family_engine
+"${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test family_engine \
+    --test table1_memory
 
 echo "== 6/17 clippy (deny warnings) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings

@@ -1,12 +1,14 @@
 //! The no-allocation guarantee of the thread-local workspace arena: after
 //! the first DGEFMM call at a problem size, subsequent calls on the same
 //! thread draw everything — schedule temporaries, transpose staging, and
-//! GEMM pack buffers — from reused thread-local storage.
+//! GEMM pack buffers — from reused thread-local storage. A plain packed
+//! GEMM leases its panels from the same pack buffer and is held to the
+//! same guarantee.
 //!
 //! Verified with a counting global allocator. This file holds a single
 //! test so no concurrent test can perturb the allocation counter.
 
-use blas::Op;
+use blas::{gemm, GemmConfig, Op};
 use matrix::{random, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,4 +68,24 @@ fn second_dgefmm_call_performs_zero_allocations() {
         assert_eq!(allocs, 0, "op_a={op_a:?} β={beta}: {allocs} allocations in steady state");
     }
     assert!(c.as_slice().iter().all(|x| x.is_finite()));
+
+    // A plain packed GEMM (every dimension above the unpacked small
+    // tier's 160) leases its panels from the same thread-local pack
+    // buffer: warm calls allocate nothing, with or without a transpose.
+    let gemm_cfg = GemmConfig::auto();
+    let (m, k, n) = (200, 176, 168);
+    let (a, b) = (random::uniform::<f64>(m, k, 3), random::uniform::<f64>(k, n, 4));
+    let at = random::uniform::<f64>(k, m, 5);
+    let mut c = Matrix::<f64>::zeros(m, n);
+    let mut run = |op_a: Op| {
+        let a = if op_a == Op::NoTrans { a.as_ref() } else { at.as_ref() };
+        gemm(&gemm_cfg, 1.0, op_a, a, Op::NoTrans, b.as_ref(), 0.5, c.as_mut());
+    };
+    for op_a in [Op::NoTrans, Op::Trans] {
+        run(op_a);
+    }
+    for op_a in [Op::NoTrans, Op::Trans] {
+        let allocs = allocations_during(|| run(op_a));
+        assert_eq!(allocs, 0, "gemm op_a={op_a:?}: {allocs} allocations in steady state");
+    }
 }

@@ -1,141 +1,194 @@
-//! Golden tests for the fused add-pack / multi-destination kernels:
-//! operand-sum packing against materialized `X0 ± X1` (including
-//! `Op::Trans`), multi-destination write-back against separate GEMM+add,
-//! and end-to-end agreement of the fused DGEFMM path with the classic
-//! temp-based schedules on odd/rectangular shapes.
+//! Golden tests for the fused Strassen level: operand-sum packing
+//! against materialized `X0 ± X1` (including `Op::Trans`),
+//! multi-destination write-back of an operand-sum product against
+//! separate GEMMs on the materialized sums, and end-to-end agreement of
+//! the fused DGEFMM path with the classic temp-based schedules on
+//! odd/rectangular shapes.
+//!
+//! The packers and the combination of packed panels are private to the
+//! blas crate, so the packed sums are read back through the public nest:
+//! a product whose other operand is an identity block writes every
+//! packed element into `C` unchanged. The blas unit tests pin the
+//! combination directly (`pack_a_sum_matches_pack_a_on_materialized_sum`,
+//! `pack_b_sum_matches_pack_b_with_transpose`).
 
-use blas::level3::fused::{pack_a_sum, pack_b_sum};
-use blas::level3::{gemm, gemm_fused, DestSpec, GemmConfig, SumOperand, MR, NR};
+use blas::level3::{gemm, gemm_fused_level, BlockProduct, BlockTerms, GemmConfig, MR, NR};
 use blas::Op;
 use matrix::{norms, random, Matrix};
 use strassen::{dgefmm, CutoffCriterion, Scheme, StrassenConfig, Variant};
 
-/// Materialize `Σ γ_t · X_t` (no transpose — `op` is applied by the
-/// packing routines themselves).
+/// Materialize `Σ γ_t · X_t`.
 fn materialize(terms: &[(f64, &Matrix<f64>)]) -> Matrix<f64> {
     let (r, c) = (terms[0].1.nrows(), terms[0].1.ncols());
     Matrix::from_fn(r, c, |i, j| terms.iter().map(|(g, x)| g * x.at(i, j)).sum())
 }
 
-/// Expected `pack_a` panel layout of `op(X)`: element `(r, kk)` of panel
-/// `q` at `q*MR*kb + kk*MR + r`, zero-padded rows.
-fn reference_pack_a(op: Op, x: &Matrix<f64>, ic: usize, pc: usize, mb: usize, kb: usize) -> Vec<f64> {
-    let at = |i: usize, p: usize| match op {
-        Op::NoTrans => x.at(i, p),
-        Op::Trans => x.at(p, i),
-    };
-    let panels = mb.div_ceil(MR);
-    let mut buf = vec![0.0; panels * MR * kb];
-    for q in 0..panels {
-        let rows = MR.min(mb - q * MR);
-        for kk in 0..kb {
-            for r in 0..rows {
-                buf[q * MR * kb + kk * MR + r] = at(ic + q * MR + r, pc + kk);
-            }
-        }
-    }
-    buf
+/// Block `q` (flat index `row · 2 + col`) of a 2 x 2 grid of `r x c`
+/// blocks, copied out.
+fn quad(x: &Matrix<f64>, q: usize, r: usize, c: usize) -> Matrix<f64> {
+    x.as_ref().submatrix((q / 2) * r, (q % 2) * c, r, c).to_owned_matrix()
 }
 
-/// Expected `pack_b` panel layout of `op(X)`: element `(kk, cc)` of panel
-/// `q` at `q*NR*kb + kk*NR + cc`, zero-padded columns.
-fn reference_pack_b(op: Op, x: &Matrix<f64>, pc: usize, jc: usize, kb: usize, nb: usize) -> Vec<f64> {
-    let at = |i: usize, p: usize| match op {
-        Op::NoTrans => x.at(i, p),
-        Op::Trans => x.at(p, i),
-    };
-    let panels = nb.div_ceil(NR);
-    let mut buf = vec![0.0; panels * NR * kb];
-    for q in 0..panels {
-        let cols = NR.min(nb - q * NR);
-        for kk in 0..kb {
-            for cc in 0..cols {
-                buf[q * NR * kb + kk * NR + cc] = at(pc + kk, jc + q * NR + cc);
-            }
-        }
+/// A `2r x 2c` matrix whose grid block `q` (flat index `row · 2 + col`)
+/// is `blocks[q]`, or NaN where it is `None`: blocks no product reads
+/// must not reach `C`.
+fn grid(r: usize, c: usize, blocks: [Option<&Matrix<f64>>; 4]) -> Matrix<f64> {
+    Matrix::from_fn(2 * r, 2 * c, |i, j| blocks[(i / r) * 2 + j / c].map_or(f64::NAN, |x| x.at(i % r, j % c)))
+}
+
+fn assert_bitwise(got: &Matrix<f64>, want: &Matrix<f64>, what: &str) {
+    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{what}: shape");
+    assert!(got.as_slice().iter().zip(want.as_slice()).all(|(g, w)| g.to_bits() == w.to_bits()), "{what}");
+}
+
+/// Cache blocks of one register tile, so odd blocks wrap the ic, pc and
+/// jc loops and are packed at nonzero offsets.
+fn small_blocks() -> GemmConfig {
+    GemmConfig { mc: MR, kc: 5, nc: NR, ..GemmConfig::blocked() }
+}
+
+/// Run `table` at α = 1, β = 0 over a NaN-filled `C` and check that `C₀`
+/// equals `want` bit for bit and the three untouched blocks are zero.
+fn assert_reads_back(
+    cfg: &GemmConfig,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    table: &[BlockProduct],
+    want: &Matrix<f64>,
+) {
+    let (m, n) = (a.nrows(), b.ncols());
+    let mut c = Matrix::from_fn(m, n, |_, _| f64::NAN);
+    gemm_fused_level(cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), table, 2);
+    let (bm, bn) = (m / 2, n / 2);
+    assert_bitwise(&quad(&c, 0, bm, bn), want, &format!("C₀, {cfg:?}"));
+    for q in 1..4 {
+        assert!(quad(&c, q, bm, bn).as_slice().iter().all(|v| *v == 0.0), "C{q} not cleared, {cfg:?}");
     }
-    buf
 }
 
 #[test]
 fn pack_a_sum_equals_pack_of_materialized_difference() {
-    // X0 − X1 on an odd-sized block that straddles panel boundaries.
-    let x0 = random::uniform::<f64>(21, 13, 1);
-    let x1 = random::uniform::<f64>(21, 13, 2);
-    let sum = SumOperand::new(Op::NoTrans, &[(1.0, x0.as_ref()), (-1.0, x1.as_ref())]);
-    let mat = materialize(&[(1.0, &x0), (-1.0, &x1)]);
-    for (ic, pc, mb, kb) in [(0usize, 0usize, 21usize, 13usize), (3, 2, 11, 7), (MR, 1, MR + 1, 4)] {
-        let mut got = vec![f64::NAN; mb.div_ceil(MR) * MR * kb];
-        pack_a_sum(&sum, ic, pc, mb, kb, &mut got);
-        let expect = reference_pack_a(Op::NoTrans, &mat, ic, pc, mb, kb);
-        assert_eq!(got, expect, "block ({ic},{pc}) {mb}x{kb}");
+    // (A₀ − A₁)·I → C₀: the packed difference, read back, is the
+    // materialized X0 − X1, on odd blocks that straddle MR panels.
+    let table = [BlockProduct {
+        a: BlockTerms::new(&[(1, 0), (-1, 1)]),
+        b: BlockTerms::single(1, 0),
+        c: BlockTerms::single(1, 0),
+    }];
+    for (m, k) in [(21usize, 13usize), (11, 7), (MR + 1, 4)] {
+        let x0 = random::uniform::<f64>(m, k, 1);
+        let x1 = random::uniform::<f64>(m, k, 2);
+        let eye = Matrix::<f64>::identity(k);
+        let a = grid(m, k, [Some(&x0), Some(&x1), None, None]);
+        let b = grid(k, k, [Some(&eye), None, None, None]);
+        let want = materialize(&[(1.0, &x0), (-1.0, &x1)]);
+        for cfg in [small_blocks(), GemmConfig::blocked()] {
+            assert_reads_back(&cfg, &a, &b, &table, &want);
+        }
     }
 }
 
 #[test]
 fn pack_a_sum_with_transpose_equals_transposed_materialized_sum() {
-    // op = Trans applies to the whole sum: pack sees (X0 + X1)ᵀ.
+    // op = Trans applied to a sum: op(A) = (X0 + X1)ᵀ. Transposed
+    // operands reach the packer one whole matrix at a time, so the plain
+    // GEMM packs op(S) of the materialized sum S (C = op(S)·I reads it
+    // back), while the grid sums the blocks X0ᵀ and X1ᵀ after packing.
+    // Both must equal the transposed materialized sum bit for bit.
     let x0 = random::uniform::<f64>(9, 17, 3);
     let x1 = random::uniform::<f64>(9, 17, 4);
-    let sum = SumOperand::new(Op::Trans, &[(1.0, x0.as_ref()), (1.0, x1.as_ref())]);
-    let mat = materialize(&[(1.0, &x0), (1.0, &x1)]); // 9x17; Trans view is 17x9
-    let (mb, kb) = (17usize, 9usize);
-    let mut got = vec![f64::NAN; mb.div_ceil(MR) * MR * kb];
-    pack_a_sum(&sum, 0, 0, mb, kb, &mut got);
-    assert_eq!(got, reference_pack_a(Op::Trans, &mat, 0, 0, mb, kb));
+    let sum = materialize(&[(1.0, &x0), (1.0, &x1)]);
+    let want = sum.transposed(); // 17x9
+    let eye = Matrix::<f64>::identity(9);
+    let table = [BlockProduct {
+        a: BlockTerms::new(&[(1, 0), (1, 1)]),
+        b: BlockTerms::single(1, 0),
+        c: BlockTerms::single(1, 0),
+    }];
+    let a = grid(17, 9, [Some(&x0.transposed()), Some(&x1.transposed()), None, None]);
+    let b = grid(9, 9, [Some(&eye), None, None, None]);
+    for cfg in [small_blocks(), GemmConfig::blocked()] {
+        let mut c = Matrix::from_fn(17, 9, |_, _| f64::NAN);
+        gemm(&cfg, 1.0, Op::Trans, sum.as_ref(), Op::NoTrans, eye.as_ref(), 0.0, c.as_mut());
+        assert_bitwise(&c, &want, &format!("op(S) = Sᵀ, {cfg:?}"));
+        assert_reads_back(&cfg, &a, &b, &table, &want);
+    }
 }
 
 #[test]
 fn pack_b_sum_equals_pack_of_materialized_sum_both_ops() {
+    // The B side: I·(B₀ − B₁) → C₀ reads back the packed difference
+    // (an NR tail in 19 columns); op(B) = (X0 − X1)ᵀ is read back through
+    // the plain GEMM with the transposed materialized sum.
     let x0 = random::uniform::<f64>(14, 19, 5);
     let x1 = random::uniform::<f64>(14, 19, 6);
     let mat = materialize(&[(1.0, &x0), (-1.0, &x1)]);
-    // NoTrans: block of the 14x19 sum.
-    let sum = SumOperand::new(Op::NoTrans, &[(1.0, x0.as_ref()), (-1.0, x1.as_ref())]);
-    let (kb, nb) = (9usize, 15usize);
-    let mut got = vec![f64::NAN; nb.div_ceil(NR) * NR * kb];
-    pack_b_sum(&sum, 2, 3, kb, nb, &mut got);
-    assert_eq!(got, reference_pack_b(Op::NoTrans, &mat, 2, 3, kb, nb));
-    // Trans: block of the 19x14 transposed sum.
-    let sum_t = SumOperand::new(Op::Trans, &[(1.0, x0.as_ref()), (-1.0, x1.as_ref())]);
-    let (kb, nb) = (19usize, 14usize);
-    let mut got = vec![f64::NAN; nb.div_ceil(NR) * NR * kb];
-    pack_b_sum(&sum_t, 0, 0, kb, nb, &mut got);
-    assert_eq!(got, reference_pack_b(Op::Trans, &mat, 0, 0, kb, nb));
+    let table = [BlockProduct {
+        a: BlockTerms::single(1, 0),
+        b: BlockTerms::new(&[(1, 0), (-1, 1)]),
+        c: BlockTerms::single(1, 0),
+    }];
+    let eye = Matrix::<f64>::identity(14);
+    let a = grid(14, 14, [Some(&eye), None, None, None]);
+    let b = grid(14, 19, [Some(&x0), Some(&x1), None, None]);
+    let eye_t = Matrix::<f64>::identity(19);
+    for cfg in [small_blocks(), GemmConfig::blocked()] {
+        assert_reads_back(&cfg, &a, &b, &table, &mat);
+        let mut c = Matrix::from_fn(19, 14, |_, _| f64::NAN);
+        gemm(&cfg, 1.0, Op::NoTrans, eye_t.as_ref(), Op::Trans, mat.as_ref(), 0.0, c.as_mut());
+        assert_bitwise(&c, &mat.transposed(), &format!("op(B) = Sᵀ, {cfg:?}"));
+    }
 }
 
 /// Dual-destination write-back vs. separate GEMM + add on odd and
-/// rectangular shapes: `C0 += δ0·P + β0·C0`, `C1 += δ1·P`.
+/// rectangular blocks: one product `(A11 + A12)(B11 − B12)` of a 2 x 2
+/// grid scattered into `C11` (δ = +1) and `C22` (δ = −1). Both are first
+/// touches, so both take β; the untouched `C12` and `C21` are scaled by
+/// β alone.
 #[test]
 fn dual_destination_writeback_matches_separate_gemm_and_add() {
     let cfg = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
+    let table = [BlockProduct {
+        a: BlockTerms::new(&[(1, 0), (1, 1)]),
+        b: BlockTerms::new(&[(1, 0), (-1, 1)]),
+        c: BlockTerms::new(&[(1, 0), (-1, 3)]),
+    }];
     for (m, k, n) in [(7usize, 13usize, 9usize), (25, 5, 33), (16, 16, 16), (1, 8, 1)] {
-        let a0 = random::uniform::<f64>(m, k, 20);
-        let a1 = random::uniform::<f64>(m, k, 21);
-        let b0 = random::uniform::<f64>(k, n, 22);
-        let b1 = random::uniform::<f64>(k, n, 23);
-        let c0_init = random::uniform::<f64>(m, n, 24);
-        let c1_init = random::uniform::<f64>(m, n, 25);
-        let alpha = -1.2;
-
-        let a_sum = SumOperand::new(Op::NoTrans, &[(1.0, a0.as_ref()), (1.0, a1.as_ref())]);
-        let b_sum = SumOperand::new(Op::NoTrans, &[(1.0, b0.as_ref()), (-1.0, b1.as_ref())]);
-        let mut c0 = c0_init.clone();
-        let mut c1 = c1_init.clone();
-        {
-            let mut dests = [DestSpec::init(c0.as_mut(), 1.0, 0.4), DestSpec::update(c1.as_mut(), -1.0)];
-            gemm_fused(&cfg, alpha, &a_sum, &b_sum, &mut dests);
-        }
+        let a = random::uniform::<f64>(2 * m, 2 * k, 20);
+        let b = random::uniform::<f64>(2 * k, 2 * n, 22);
+        let c_init = random::uniform::<f64>(2 * m, 2 * n, 24);
+        let (alpha, beta) = (-1.2, 0.4);
+        let mut got = c_init.clone();
+        gemm_fused_level(&cfg, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut(), &table, 2);
 
         // Reference: materialize both sums, then one GEMM per destination.
-        let am = materialize(&[(1.0, &a0), (1.0, &a1)]);
-        let bm = materialize(&[(1.0, &b0), (-1.0, &b1)]);
-        let mut e0 = c0_init.clone();
-        let mut e1 = c1_init.clone();
-        gemm(&cfg, alpha, Op::NoTrans, am.as_ref(), Op::NoTrans, bm.as_ref(), 0.4, e0.as_mut());
-        gemm(&cfg, -alpha, Op::NoTrans, am.as_ref(), Op::NoTrans, bm.as_ref(), 1.0, e1.as_mut());
-        norms::assert_allclose(c0.as_ref(), e0.as_ref(), 1e-12, &format!("{m}x{k}x{n} dest0"));
-        norms::assert_allclose(c1.as_ref(), e1.as_ref(), 1e-12, &format!("{m}x{k}x{n} dest1"));
+        let am = materialize(&[(1.0, &quad(&a, 0, m, k)), (1.0, &quad(&a, 1, m, k))]);
+        let bm = materialize(&[(1.0, &quad(&b, 0, k, n)), (-1.0, &quad(&b, 1, k, n))]);
+        let mut want = c_init.clone();
+        let mut w = want.as_mut();
+        gemm(
+            &cfg,
+            alpha,
+            Op::NoTrans,
+            am.as_ref(),
+            Op::NoTrans,
+            bm.as_ref(),
+            beta,
+            w.submatrix_mut(0, 0, m, n),
+        );
+        gemm(
+            &cfg,
+            -alpha,
+            Op::NoTrans,
+            am.as_ref(),
+            Op::NoTrans,
+            bm.as_ref(),
+            beta,
+            w.submatrix_mut(m, n, m, n),
+        );
+        blas::level3::scale_in_place(beta, w.submatrix_mut(0, n, m, n));
+        blas::level3::scale_in_place(beta, w.submatrix_mut(m, 0, m, n));
+        norms::assert_allclose(got.as_ref(), want.as_ref(), 1e-12, &format!("{m}x{k}x{n}"));
     }
 }
 

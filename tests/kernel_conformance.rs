@@ -1,16 +1,20 @@
-//! Conformance suite for the 5-loop GEMM substrate (PR 6).
+//! Conformance suite for the 5-loop GEMM substrate.
 //!
 //! Four layers of checks, all judged against the EFT-compensated
 //! oracle under the Higham envelope (`accuracy::tolerance_for`) rather
-//! than hand-tuned epsilons:
+//! than hand-tuned epsilons, except where the result must be exact:
 //!
 //! 1. **Edge grid** — every `(mr-tail × nr-tail × kc-tail)` combination
 //!    of the register tiling and the pc loop, with cache blocks small
 //!    enough that every loop of the 5-loop nest wraps at least once.
-//! 2. **Packed panels** — the public sum packers (layout-identical to
-//!    the blocked kernel's private `pack_a`/`pack_b`) against an
-//!    index-formula reference, including transposes, multi-term sums,
-//!    and exact zero padding.
+//! 2. **Packed panels** — the packers are private to the blas crate, so
+//!    their panels are read back through the public GEMM: multiplying by
+//!    an identity makes every element of `C` exactly one packed element,
+//!    compared bit for bit with `op(X)` (MR/NR tails, nonzero offsets,
+//!    both ops). The panel layout itself, zero padding included, is
+//!    pinned next to the packers by the blas unit tests
+//!    (`pack_a_matches_reference`, `pack_b_matches_reference`,
+//!    `packed_panel_padding_is_exact_zero`).
 //! 3. **α/β and transpose grid** — the full scalar/op product space,
 //!    including `β = 0` clearing NaN without reading `C`, and the
 //!    bitwise pin of the 5-loop kernel against the classic
@@ -21,7 +25,6 @@
 //!    shared-panel `gemm_fused_level` executor.
 
 use accuracy::{gemm_oracle, tolerance_for};
-use blas::level3::fused::{pack_a_sum, pack_b_sum, SumOperand};
 use blas::level3::{
     gemm_blocked, gemm_blocked_classic, gemm_fused_level, BlockProduct, BlockTerms, GemmConfig, MR, NR,
 };
@@ -84,123 +87,62 @@ fn edge_grid_matches_oracle() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Packed-panel contents against an index-formula reference.
+// 2. Packed panels read back through the nest.
 // ---------------------------------------------------------------------
 
-/// Reference packer for an A block: element `(r, kk)` of row-panel `q`
-/// lives at `q·MR·kb + kk·MR + r`; rows past `mb` are exact zeros.
-fn reference_pack_a(get: impl Fn(usize, usize) -> f64, mb: usize, kb: usize) -> Vec<f64> {
-    let panels = mb.div_ceil(MR);
-    let mut buf = vec![0.0; panels * MR * kb];
-    for q in 0..panels {
-        for kk in 0..kb {
-            for r in 0..MR.min(mb - q * MR) {
-                buf[q * MR * kb + kk * MR + r] = get(q * MR + r, kk);
-            }
-        }
-    }
-    buf
-}
-
-/// Reference packer for a B block: element `(kk, cc)` of column-panel
-/// `q` lives at `q·NR·kb + kk·NR + cc`; columns past `nb` are zeros.
-fn reference_pack_b(get: impl Fn(usize, usize) -> f64, kb: usize, nb: usize) -> Vec<f64> {
-    let panels = nb.div_ceil(NR);
-    let mut buf = vec![0.0; panels * NR * kb];
-    for q in 0..panels {
-        for kk in 0..kb {
-            for cc in 0..NR.min(nb - q * NR) {
-                buf[q * NR * kb + kk * NR + cc] = get(kk, q * NR + cc);
-            }
-        }
-    }
-    buf
-}
-
-fn assert_buf_close(got: &[f64], want: &[f64], terms: usize, what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    // Single-term packing is a pure copy — bitwise. Sums tolerate the
-    // AXPY accumulation order (≤ MAX_TERMS products of [-2, 2) data).
-    let tol = if terms == 1 { 0.0 } else { 4.0 * terms as f64 * f64::EPSILON };
-    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-        assert!((g - w).abs() <= tol * w.abs().max(1.0), "{what}[{i}]: {g} vs {w}");
+/// `op(X)` stored for `op`: an `rows x cols` matrix, or its transpose in
+/// storage.
+fn stored(op: Op, rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+    match op {
+        Op::NoTrans => random::uniform::<f64>(rows, cols, seed),
+        Op::Trans => random::uniform::<f64>(cols, rows, seed),
     }
 }
 
+/// `op(X)` materialized.
+fn apply(op: Op, x: &Matrix<f64>) -> Matrix<f64> {
+    match op {
+        Op::NoTrans => x.clone(),
+        Op::Trans => x.transposed(),
+    }
+}
+
+fn assert_bitwise(got: &Matrix<f64>, want: &Matrix<f64>, what: &str) {
+    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{what}: shape");
+    assert!(got.as_slice().iter().zip(want.as_slice()).all(|(g, w)| g.to_bits() == w.to_bits()), "{what}");
+}
+
+/// `C = op(X)·I` with α = 1 and β = 0 over a NaN-filled `C`: each
+/// element of `C` is one packed element of `op(X)` plus exact zeros, so
+/// `C` must equal `op(X)` bit for bit — a misplaced, dropped or
+/// duplicated panel element shows. `m = 20·MR + 3` leaves a 3-row tail
+/// and exceeds the small tier's bound (160), so the product runs the
+/// packed nest; `tiny_cfg` packs at nonzero `(ic, pc)`.
 #[test]
 fn packed_a_panels_match_reference() {
-    // mb = 19 leaves a 3-row tail in the last of three MR-panels.
-    let (mb, kb) = (2 * MR + 3, 11);
-    let (ic, pc) = (MR, 2);
-    let x = random::uniform::<f64>(ic + mb + 2, pc + kb + 2, 40);
-    let y = random::uniform::<f64>(ic + mb + 2, pc + kb + 2, 41);
-
-    let single = SumOperand::new(Op::NoTrans, &[(1.0, x.as_ref())]);
-    let mut got = vec![f64::NAN; mb.div_ceil(MR) * MR * kb];
-    pack_a_sum(&single, ic, pc, mb, kb, &mut got);
-    let want = reference_pack_a(|r, kk| x.at(ic + r, pc + kk), mb, kb);
-    assert_buf_close(&got, &want, 1, "pack_a single");
-
-    let sum = SumOperand::new(Op::NoTrans, &[(1.0, x.as_ref()), (-1.0, y.as_ref())]);
-    pack_a_sum(&sum, ic, pc, mb, kb, &mut got);
-    let want = reference_pack_a(|r, kk| x.at(ic + r, pc + kk) - y.at(ic + r, pc + kk), mb, kb);
-    assert_buf_close(&got, &want, 2, "pack_a sum");
-
-    // Transposed operand: the packer reads op(X) = Xᵀ, so source index
-    // (row, col) swaps. Storage is (cols of op) x (rows of op).
-    let xt = random::uniform::<f64>(pc + kb + 2, ic + mb + 2, 42);
-    let tr = SumOperand::new(Op::Trans, &[(1.0, xt.as_ref())]);
-    pack_a_sum(&tr, ic, pc, mb, kb, &mut got);
-    let want = reference_pack_a(|r, kk| xt.at(pc + kk, ic + r), mb, kb);
-    assert_buf_close(&got, &want, 1, "pack_a trans");
+    let cfg = tiny_cfg();
+    let (m, k) = (20 * MR + 3, 2 * cfg.kc + 3);
+    let eye = Matrix::<f64>::identity(k);
+    for op in [Op::NoTrans, Op::Trans] {
+        let x = stored(op, m, k, 40);
+        let mut c = Matrix::from_fn(m, k, |_, _| f64::NAN);
+        gemm_blocked(&cfg, 1.0, op, x.as_ref(), Op::NoTrans, eye.as_ref(), 0.0, c.as_mut());
+        assert_bitwise(&c, &apply(op, &x), &format!("op(A) = {op:?}"));
+    }
 }
 
+/// The B side: `C = I·op(X)`, `n = 27·NR + 3` for a 3-column tail above
+/// the small tier's bound, packed at nonzero `(pc, jc)`.
 #[test]
 fn packed_b_panels_match_reference() {
-    // nb = 15 leaves a 3-column tail in the last of three NR-panels.
-    let (kb, nb) = (9, 2 * NR + 3);
-    let (pc, jc) = (3, NR);
-    let x = random::uniform::<f64>(pc + kb + 2, jc + nb + 2, 50);
-    let y = random::uniform::<f64>(pc + kb + 2, jc + nb + 2, 51);
-
-    let single = SumOperand::new(Op::NoTrans, &[(1.0, x.as_ref())]);
-    let mut got = vec![f64::NAN; nb.div_ceil(NR) * NR * kb];
-    pack_b_sum(&single, pc, jc, kb, nb, &mut got);
-    let want = reference_pack_b(|kk, cc| x.at(pc + kk, jc + cc), kb, nb);
-    assert_buf_close(&got, &want, 1, "pack_b single");
-
-    let sum = SumOperand::new(Op::NoTrans, &[(1.0, x.as_ref()), (1.0, y.as_ref())]);
-    pack_b_sum(&sum, pc, jc, kb, nb, &mut got);
-    let want = reference_pack_b(|kk, cc| x.at(pc + kk, jc + cc) + y.at(pc + kk, jc + cc), kb, nb);
-    assert_buf_close(&got, &want, 2, "pack_b sum");
-
-    let xt = random::uniform::<f64>(jc + nb + 2, pc + kb + 2, 52);
-    let tr = SumOperand::new(Op::Trans, &[(1.0, xt.as_ref())]);
-    pack_b_sum(&tr, pc, jc, kb, nb, &mut got);
-    let want = reference_pack_b(|kk, cc| xt.at(jc + cc, pc + kk), kb, nb);
-    assert_buf_close(&got, &want, 1, "pack_b trans");
-}
-
-#[test]
-fn packed_panel_padding_is_exact_zero() {
-    // One panel, one live row/column: everything else must be 0.0 (not
-    // merely small) — the micro-kernel multiplies padding by live data.
-    let x = random::uniform::<f64>(4, 4, 60);
-    let a = SumOperand::new(Op::NoTrans, &[(2.0, x.as_ref())]);
-    let mut buf = vec![f64::NAN; MR * 3];
-    pack_a_sum(&a, 0, 0, 1, 3, &mut buf);
-    for kk in 0..3 {
-        for r in 1..MR {
-            assert_eq!(buf[kk * MR + r], 0.0, "pack_a pad at kk={kk} r={r}");
-        }
-    }
-    let b = SumOperand::new(Op::NoTrans, &[(2.0, x.as_ref())]);
-    let mut buf = vec![f64::NAN; NR * 3];
-    pack_b_sum(&b, 0, 0, 3, 1, &mut buf);
-    for kk in 0..3 {
-        for cc in 1..NR {
-            assert_eq!(buf[kk * NR + cc], 0.0, "pack_b pad at kk={kk} cc={cc}");
-        }
+    let cfg = tiny_cfg();
+    let (k, n) = (2 * cfg.kc + 1, 27 * NR + 3);
+    let eye = Matrix::<f64>::identity(k);
+    for op in [Op::NoTrans, Op::Trans] {
+        let x = stored(op, k, n, 50);
+        let mut c = Matrix::from_fn(k, n, |_, _| f64::NAN);
+        gemm_blocked(&cfg, 1.0, Op::NoTrans, eye.as_ref(), op, x.as_ref(), 0.0, c.as_mut());
+        assert_bitwise(&c, &apply(op, &x), &format!("op(B) = {op:?}"));
     }
 }
 
