@@ -122,9 +122,9 @@ pub struct StrassenConfig {
     pub scheme: Scheme,
     /// Recursive base case: which ⟨m,k,n⟩ coefficient-table family splits
     /// each level. [`Family::F222`] (the default) runs the hand-scheduled
-    /// 2×2×2 paths selected by [`StrassenConfig::variant`] and
-    /// [`StrassenConfig::scheme`]; any other family runs its compiled
-    /// table through the generic executor (see `ALGORITHMS.md`).
+    /// 2×2×2 programs selected by [`StrassenConfig::variant`] and
+    /// [`StrassenConfig::scheme`]; any other family runs its lowered
+    /// table, through the same executor (see `ALGORITHMS.md`).
     pub family: Family,
     /// Odd-dimension strategy.
     pub odd: OddHandling,

@@ -8,7 +8,8 @@
 //! (7^d products, `(7^d − 4^d)` add terms), connecting the model crate to
 //! the real implementation.
 
-use crate::config::{OddHandling, StrassenConfig, Variant};
+use crate::config::{OddHandling, StrassenConfig};
+use crate::probe::PassKind;
 use crate::workspace::{resolve_scheme, ResolvedScheme};
 
 /// Predicted execution profile for one `dgefmm` call.
@@ -45,41 +46,6 @@ impl CallCounts {
         self.splits += times * child.splits;
         self.pad_copies += times * child.pad_copies;
         self.max_depth = self.max_depth.max(child.max_depth + 1);
-    }
-}
-
-/// Elementwise add/subtract passes (`G` operations) one application of
-/// the schedule performs, exactly as the runtime executes it — the probe
-/// subsystem's traced counters must match these numbers pass for pass.
-/// Copy and `β`-scaling passes are *not* counted (they move or scale
-/// data without adding): the original schedule's negate-copy and the
-/// accumulation schedules' `C ← βC` pre-scale are tracked separately by
-/// [`crate::probe::Trace`].
-fn adds_per_level(variant: Variant, scheme: ResolvedScheme, beta_zero: bool) -> u64 {
-    match (variant, scheme) {
-        // Compiled tables override the variant: staging adds plus
-        // write-back adds (first writes fold the caller's β: an add when
-        // β ≠ 0, a pure copy otherwise).
-        (_, ResolvedScheme::Compiled(fam)) => fam.compiled().add_passes(beta_zero),
-        // 10 operand sums + 8 result accumulations (+1 negate-copy).
-        (Variant::Original, _) => 18,
-        // The 15 Winograd passes plus 4 axpby folds of the staged
-        // product quadrants into C.
-        (Variant::Winograd, ResolvedScheme::Strassen1General) => 19,
-        // Figure 1 absorbs two of Winograd's U-sum adds into its
-        // multiply-accumulate children, leaving 8 operand + 6 result
-        // passes (+ the β pre-scale).
-        (Variant::Winograd, ResolvedScheme::Strassen2) => 14,
-        // The expanded schedule shares no U temporaries: 8 operand sums
-        // + 11 per-quadrant accumulations (+ the β pre-scale).
-        (Variant::Winograd, ResolvedScheme::SevenTemp) => 19,
-        // BDPZ two-temp β=0: 6 operand passes + 7 C-quadrant transfers.
-        (Variant::Winograd, ResolvedScheme::TwoTempBetaZero) => 13,
-        // BDPZ in-place: 10 operand passes + 10 bracket-import passes
-        // (+ the β pre-scale, tracked separately).
-        (Variant::Winograd, ResolvedScheme::InPlaceAccumulate) => 20,
-        // STRASSEN1 β=0: Winograd's 8 operand + 7 result passes.
-        (Variant::Winograd, _) => 15,
     }
 }
 
@@ -181,42 +147,19 @@ fn predict_at(
         }
     }
 
-    // Divisible split: one schedule application, rank-R recursive
-    // products (R = 7 for every ⟨2,2,2⟩ schedule).
+    // Divisible split: one program application. Its add passes are
+    // exactly those the runtime executes — the probe's traced counters
+    // match them pass for pass. Copy and `β`-scaling passes are not
+    // counted (they move or scale data without adding); the trace keeps
+    // them separately.
     out.splits = 1;
-    out.add_passes = adds_per_level(cfg.variant, scheme, beta_zero);
+    let prog = scheme.program();
+    out.add_passes = prog.passes(PassKind::Add, beta_zero, |_| true);
     let (m2, k2, n2) = (m / dm, k / dk, n / dn);
-    match scheme {
-        ResolvedScheme::Strassen2 => {
-            // Figure 1 spawns 2 β=0 products (αP5, αP1 into R3) and 5
-            // multiply-accumulates — the exact mix matters once the two β
-            // classes have different cutoff criteria.
-            let child0 = predict_at(cfg, m2, k2, n2, true, depth + 1);
-            let child1 = predict_at(cfg, m2, k2, n2, false, depth + 1);
-            out.merge_child(child0, 2);
-            out.merge_child(child1, 5);
-        }
-        ResolvedScheme::TwoTempBetaZero => {
-            // P7, P5, P6, P1 land β=0 in C's quadrants; P3, P4, P2 are
-            // multiply-accumulates.
-            let child0 = predict_at(cfg, m2, k2, n2, true, depth + 1);
-            let child1 = predict_at(cfg, m2, k2, n2, false, depth + 1);
-            out.merge_child(child0, 4);
-            out.merge_child(child1, 3);
-        }
-        ResolvedScheme::InPlaceAccumulate => {
-            // All seven products are multiply-accumulates.
-            let child = predict_at(cfg, m2, k2, n2, false, depth + 1);
-            out.merge_child(child, 7);
-        }
-        ResolvedScheme::Compiled(fam) => {
-            // Every product runs β=0 into the staging temporary.
-            let child = predict_at(cfg, m2, k2, n2, true, depth + 1);
-            out.merge_child(child, fam.rank() as u64);
-        }
-        _ => {
-            let child = predict_at(cfg, m2, k2, n2, true, depth + 1);
-            out.merge_child(child, 7);
+    let (zero_children, general_children) = prog.child_mix(beta_zero);
+    for (count, bz) in [(zero_children, true), (general_children, false)] {
+        if count > 0 {
+            out.merge_child(predict_at(cfg, m2, k2, n2, bz, depth + 1), count);
         }
     }
     out
@@ -226,7 +169,7 @@ fn predict_at(
 mod tests {
     use super::*;
     use crate::cutoff::CutoffCriterion;
-    use crate::StrassenConfig;
+    use crate::{StrassenConfig, Variant};
 
     fn cfg_tau(tau: usize) -> StrassenConfig {
         StrassenConfig::dgefmm().cutoff(CutoffCriterion::Simple { tau })

@@ -3,7 +3,7 @@
 use crate::config::{OddHandling, StrassenConfig};
 use crate::cutoff::{CutoffCriterion, StopReason};
 use crate::fastmm::Family;
-use crate::schedules::{compiled, fused, original, seven_temp, two_temp, winograd1, winograd2};
+use crate::schedules::{exec, fused};
 use crate::trace;
 use crate::trace::add::axpby;
 use crate::workspace::{
@@ -144,23 +144,7 @@ pub(crate) fn fmm<T: Scalar>(
     }
 
     trace::split(depth, scheme, m, k, n);
-    match scheme {
-        ResolvedScheme::Strassen1BetaZero => winograd1::strassen1_beta_zero(cfg, alpha, a, b, c, ws, depth),
-        ResolvedScheme::Strassen1General => {
-            winograd1::strassen1_general(cfg, alpha, a, b, beta, c, ws, depth)
-        }
-        ResolvedScheme::Strassen2 => winograd2::strassen2(cfg, alpha, a, b, beta, c, ws, depth),
-        ResolvedScheme::OriginalBetaZero => original::original_beta_zero(cfg, alpha, a, b, c, ws, depth),
-        ResolvedScheme::OriginalGeneral => unreachable!("staged above"),
-        ResolvedScheme::SevenTemp => seven_temp::seven_temp(cfg, alpha, a, b, beta, c, ws, depth),
-        ResolvedScheme::TwoTempBetaZero => two_temp::two_temp_beta_zero(cfg, alpha, a, b, c, ws, depth),
-        ResolvedScheme::InPlaceAccumulate => {
-            two_temp::in_place_accumulate(cfg, alpha, a, b, beta, c, ws, depth)
-        }
-        ResolvedScheme::Compiled(fam) => {
-            compiled::compiled_schedule(cfg, fam.compiled(), alpha, a, b, beta, c, ws, depth)
-        }
-    }
+    exec::run(cfg, scheme.program(), alpha, a, b, beta, c, ws, depth);
 }
 
 /// Return `op(x)` as a plain view: the input itself for `NoTrans`, or a

@@ -18,8 +18,9 @@
 //! represents such tables as data ([`FastAlgorithm`]), checks them
 //! *exactly* against the Brent equations ([`FastAlgorithm::verify`]),
 //! composes them ([`FastAlgorithm::stack_m`] and friends), and compiles
-//! them into an executable schedule ([`CompiledSchedule`]) that the
-//! recursion dispatcher runs through one generic executor.
+//! them into an executable schedule ([`CompiledSchedule`]): a level
+//! program the recursion dispatcher runs through the same executor as
+//! the hand-scheduled ⟨2,2,2⟩ programs.
 //!
 //! The shipped catalog is the [`Family`] enum; see `ALGORITHMS.md` at the
 //! repository root for the spec of the table format and per-family facts.
@@ -37,6 +38,9 @@
 //! assert_eq!(FastAlgorithm::winograd_222().stability_q(), 18);
 //! ```
 
+use crate::probe::PassKind;
+use crate::schedules::compiled;
+use crate::schedules::program::{Program, Shape, Slot};
 use std::sync::OnceLock;
 
 /// A bilinear fast-multiplication algorithm for an ⟨m,k,n⟩ base case, as
@@ -452,32 +456,18 @@ impl FastAlgorithm {
     }
 }
 
-/// One product step of a compiled schedule.
-#[derive(Clone, Debug)]
-pub(crate) struct ProductStep {
-    /// `A` blocks (flat index `i·k + l`) with coefficients forming the
-    /// left operand sum.
-    pub(crate) a_terms: Vec<(usize, i32)>,
-    /// `B` blocks (flat index `l·n + j`) with coefficients forming the
-    /// right operand sum.
-    pub(crate) b_terms: Vec<(usize, i32)>,
-    /// `C` blocks (flat index `i·n + j`) this product accumulates into:
-    /// `(block, coefficient, first)` where `first` marks the first write
-    /// any product makes to that block (it carries the caller's `β`).
-    pub(crate) writes: Vec<(usize, i32, bool)>,
-}
-
-/// A [`FastAlgorithm`] compiled into executable schedule form: per
-/// product, the operand sums to stage and the output blocks to update,
-/// with first-write bookkeeping so the caller's `β` is applied exactly
-/// once per output block.
+/// A [`FastAlgorithm`] compiled into executable schedule form: a level
+/// program with, per product, the operand sums to stage and the output
+/// blocks to update, and first-write bookkeeping so the caller's `β` is
+/// applied exactly once per output block.
 ///
-/// The runtime executor stages composite operand sums into two workspace
+/// The program stages composite operand sums into two workspace
 /// temporaries (`X` of `m/m̂ × k/k̂`, `Y` of `k/k̂ × n/n̂`), each product
 /// into a third (`P` of `m/m̂ × n/n̂`), and accumulates `P` into `C`
 /// blocks with `axpby` passes — every recursive child is a plain `β = 0`
 /// product. Single-block operands skip the staging temp (their `±1`
-/// coefficient folds into the product's `α`).
+/// coefficient folds into the product's `α`). The pass counts below are
+/// read from that program.
 ///
 /// ```
 /// use strassen::fastmm::{CompiledSchedule, FastAlgorithm};
@@ -491,9 +481,7 @@ pub(crate) struct ProductStep {
 #[derive(Clone, Debug)]
 pub struct CompiledSchedule {
     alg: FastAlgorithm,
-    pub(crate) products: Vec<ProductStep>,
-    needs_x: bool,
-    needs_y: bool,
+    program: Program,
 }
 
 impl CompiledSchedule {
@@ -506,49 +494,11 @@ impl CompiledSchedule {
     /// coefficients into `±α`).
     pub fn compile(alg: FastAlgorithm) -> Self {
         alg.verify().expect("refusing to compile an invalid coefficient table");
-        let (m, k, n) = alg.dims();
-        let mut products = Vec::with_capacity(alg.rank());
-        let mut seen = vec![false; m * n];
-        for r in 0..alg.rank() {
-            let mut a_terms = Vec::new();
-            for i in 0..m {
-                for l in 0..k {
-                    let cf = alg.u_at(r, i, l);
-                    assert!(cf.abs() <= 1, "{}: U coefficient out of ±1", alg.name());
-                    if cf != 0 {
-                        a_terms.push((i * k + l, cf));
-                    }
-                }
-            }
-            let mut b_terms = Vec::new();
-            for l in 0..k {
-                for j in 0..n {
-                    let cf = alg.v_at(r, l, j);
-                    assert!(cf.abs() <= 1, "{}: V coefficient out of ±1", alg.name());
-                    if cf != 0 {
-                        b_terms.push((l * n + j, cf));
-                    }
-                }
-            }
-            let mut writes = Vec::new();
-            for i in 0..m {
-                for j in 0..n {
-                    let cf = alg.w_at(r, i, j);
-                    assert!(cf.abs() <= 1, "{}: W coefficient out of ±1", alg.name());
-                    if cf != 0 {
-                        let first = !seen[i * n + j];
-                        seen[i * n + j] = true;
-                        writes.push((i * n + j, cf, first));
-                    }
-                }
-            }
-            assert!(!a_terms.is_empty() && !b_terms.is_empty(), "{}: empty product {r}", alg.name());
-            products.push(ProductStep { a_terms, b_terms, writes });
+        for (side, coeffs) in [("U", &alg.u), ("V", &alg.v), ("W", &alg.w)] {
+            assert!(coeffs.iter().all(|cf| cf.abs() <= 1), "{}: {side} coefficient out of ±1", alg.name());
         }
-        assert!(seen.iter().all(|&s| s), "{}: some C block is never written", alg.name());
-        let needs_x = products.iter().any(|p| p.a_terms.len() > 1);
-        let needs_y = products.iter().any(|p| p.b_terms.len() > 1);
-        Self { alg, products, needs_x, needs_y }
+        let program = compiled::lower(&alg);
+        Self { alg, program }
     }
 
     /// The underlying coefficient table.
@@ -556,76 +506,52 @@ impl CompiledSchedule {
         &self.alg
     }
 
+    /// The level program the executor runs.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Staged `Add`-classified elementwise passes per level on the
     /// `A`-side and `B`-side operand temporaries: each composite sum of
     /// `t` terms costs one copy (not counted here) plus `t − 1` adds.
     pub fn staging_add_passes(&self) -> (u64, u64) {
-        let a: u64 = self.products.iter().map(|p| (p.a_terms.len().max(1) - 1) as u64).sum();
-        let b: u64 = self.products.iter().map(|p| (p.b_terms.len().max(1) - 1) as u64).sum();
-        (a, b)
+        let staged = |shape| move |s| matches!(s, Slot::Tmp(_, t) if t == shape);
+        (
+            self.program.passes(PassKind::Add, true, staged(Shape::Mk)),
+            self.program.passes(PassKind::Add, true, staged(Shape::Kn)),
+        )
     }
 
     /// `Add`-classified write-back passes per level into `C` blocks: all
     /// writes except each block's first when `β = 0` (those are pure
     /// copies).
     pub fn write_add_passes(&self, beta_zero: bool) -> u64 {
-        self.products
-            .iter()
-            .flat_map(|p| p.writes.iter())
-            .filter(|&&(_, _, first)| !(first && beta_zero))
-            .count() as u64
+        self.program.passes(PassKind::Add, beta_zero, |s| matches!(s, Slot::C(_)))
     }
 
     /// Total `Add`-classified elementwise passes one level executes —
     /// what [`crate::counts::predict`] charges per split and the traced
     /// probe must reproduce exactly.
     pub fn add_passes(&self, beta_zero: bool) -> u64 {
-        let (a, b) = self.staging_add_passes();
-        a + b + self.write_add_passes(beta_zero)
-    }
-
-    /// `Copy`-classified passes one level executes: one per composite
-    /// operand sum, plus each block's first write when `β = 0`.
-    pub fn copy_passes(&self, beta_zero: bool) -> u64 {
-        let staged: u64 = self
-            .products
-            .iter()
-            .map(|p| u64::from(p.a_terms.len() > 1) + u64::from(p.b_terms.len() > 1))
-            .sum();
-        let first_writes = if beta_zero {
-            self.products.iter().flat_map(|p| p.writes.iter()).filter(|&&(_, _, f)| f).count() as u64
-        } else {
-            0
-        };
-        staged + first_writes
-    }
-
-    /// Workspace elements one level of the executor draws for a problem
-    /// of (divisible) dimensions `(m, k, n)`: the `X`/`Y` operand
-    /// temporaries (only if some product needs them) plus the product
-    /// temporary `P`.
-    pub fn per_level_elements(&self, m: usize, k: usize, n: usize) -> usize {
-        let (fm, fk, fnn) = self.alg.dims();
-        let (bm, bk, bn) = (m / fm, k / fk, n / fnn);
-        usize::from(self.needs_x) * bm * bk + usize::from(self.needs_y) * bk * bn + bm * bn
+        self.program.passes(PassKind::Add, beta_zero, |_| true)
     }
 
     /// Whether any product stages a composite `A`-side sum.
     pub fn needs_x(&self) -> bool {
-        self.needs_x
+        self.program.ops().any(|op| matches!(op.slots().0, Slot::Tmp(_, Shape::Mk)))
     }
 
     /// Whether any product stages a composite `B`-side sum.
     pub fn needs_y(&self) -> bool {
-        self.needs_y
+        self.program.ops().any(|op| matches!(op.slots().0, Slot::Tmp(_, Shape::Kn)))
     }
 }
 
 /// The shipped ⟨m,k,n⟩ base-case families, selectable via
-/// [`crate::StrassenConfig::family`]. `F222` is the legacy hard-coded
-/// 2×2×2 path (Winograd/1969 schedules, fused kernels, STRASSEN1/2
-/// memory policies); every other family runs the compiled-table
-/// executor.
+/// [`crate::StrassenConfig::family`]. `F222` runs the hand-scheduled
+/// 2×2×2 programs (Winograd/1969 schedules, STRASSEN1/2 memory
+/// policies, the BDPZ pair) and the fused last level; every other family
+/// runs its lowered table. One executor runs both kinds of program.
 ///
 /// Ranks are the best *machine-verified compositions* shipped here
 /// (stacked/rotated Strassen ⟨2,2,2⟩ blocks — see `ALGORITHMS.md`);
@@ -645,7 +571,7 @@ impl CompiledSchedule {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
-    /// The classical ⟨2,2,2⟩ : 7 base case (legacy schedules).
+    /// The classical ⟨2,2,2⟩ : 7 base case (hand-scheduled programs).
     F222,
     /// ⟨2,2,3⟩ : 11 — Hopcroft–Kerr-optimal rank via ⟨2,2,2⟩ ⊕ₙ trivial.
     F223,
@@ -673,9 +599,9 @@ impl Family {
     }
 
     /// The family's compiled schedule (built and Brent-verified once per
-    /// process). Defined for `F222` too — the compiled Winograd table the
-    /// golden tests compare against the legacy schedules — even though
-    /// the dispatcher routes `F222` through the hard-coded paths.
+    /// process). Defined for `F222` too — the lowered Winograd table the
+    /// golden tests compare against the hand-scheduled programs — even
+    /// though the dispatcher runs `F222` through those programs.
     pub fn compiled(self) -> &'static CompiledSchedule {
         static CATALOG: OnceLock<[CompiledSchedule; 5]> = OnceLock::new();
         let catalog = CATALOG.get_or_init(|| {
@@ -780,14 +706,14 @@ mod tests {
         assert_eq!(sched.write_add_passes(true), 10);
         assert_eq!(sched.write_add_passes(false), 14);
         assert_eq!(sched.add_passes(true), 24);
-        assert_eq!(sched.copy_passes(true), 8 + 4);
+        assert_eq!(sched.program().passes(PassKind::Copy, true, |_| true), 8 + 4);
     }
 
     #[test]
     fn per_level_workspace_scales_with_dims() {
         let sched = Family::F323.compiled();
         // ⟨3,2,3⟩ on a 6×4×6 problem: blocks are 2×2, 2×2, 2×2.
-        let elems = sched.per_level_elements(6, 4, 6);
+        let elems = sched.program().workspace_elements(6, 4, 6);
         assert_eq!(elems, usize::from(sched.needs_x()) * 4 + usize::from(sched.needs_y()) * 4 + 4);
     }
 

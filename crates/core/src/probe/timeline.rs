@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use super::json::JsonWriter;
-use crate::schedules::seven_temp::DAG_NODE_NAMES;
+use crate::schedules::seven_temp::SEVEN_TEMP;
 
 /// One captured ring lane: its events in recording order plus how many
 /// were overwritten (ring capacity exceeded) before capture.
@@ -161,7 +161,7 @@ fn tag_name(tag: u64) -> String {
     match ring::tag::namespace(tag) {
         ring::tag::NS_STRASSEN => {
             let node = ring::tag::node(tag) as usize;
-            let name = DAG_NODE_NAMES.get(node).copied().unwrap_or("node");
+            let name = SEVEN_TEMP.nodes().get(node).map_or("node", |n| n.name.as_str());
             format!("L{}:{}", ring::tag::level(tag), name)
         }
         ring::tag::NS_GEMM => {

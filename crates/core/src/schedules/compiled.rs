@@ -1,126 +1,84 @@
-//! Generic executor for compiled coefficient-table ⟨m,k,n⟩ schedules.
+//! Lowering of a coefficient-table ⟨m,k,n⟩ algorithm into a level
+//! program.
 //!
-//! One routine serves every [`crate::fastmm::Family`]: it walks the
-//! [`CompiledSchedule`]'s product list, staging composite operand sums
-//! into two workspace temporaries (`X`, `Y`), running each product into a
-//! third (`P`) as a plain `β = 0` recursive call, and accumulating `P`
-//! into the affected `C` blocks with `axpby` passes. The caller's `β` is
-//! applied exactly once per `C` block — on its first write (a pure copy
-//! pass when `β = 0`).
+//! One lowering serves every [`crate::fastmm::Family`]: per product it
+//! stages composite operand sums into two temporaries (`X`, `Y`) with
+//! `axpby` passes, runs the product into a third (`P`) as a plain
+//! `β = 0` recursive call, and accumulates `P` into the affected `C`
+//! blocks with `axpby` passes. The caller's `β` is applied exactly once
+//! per `C` block — on its first write (a pure copy pass when `β = 0`).
 //!
 //! Single-block operands skip their staging temp entirely; the `±1`
-//! coefficient folds into the product's `α`. That keeps the ⟨2,2,2⟩
-//! compiled table's pass count close to (though not below) the
-//! hand-scheduled legacy paths, which additionally reuse `C` quadrants
-//! as staging space — the hard-coded schedules stay the `F222` default.
+//! coefficient folds into the product's `α`. The same executor runs the
+//! result as it runs F222's hand-scheduled programs, which additionally
+//! reuse `C` quadrants as staging space: the ⟨2,2,2⟩ table lowers to 24
+//! add passes per level against their 13–20, so F222 keeps its
+//! hand-scheduled programs.
 
-use crate::config::StrassenConfig;
-use crate::dispatch::fmm;
-use crate::fastmm::CompiledSchedule;
-use crate::trace::add::axpby;
-use matrix::{MatMut, MatRef, Scalar};
+use super::program::{Coef, Node, Op, Program, Shape, Slot};
+use crate::fastmm::FastAlgorithm;
 
-/// Run one level of a compiled schedule: `C ← α A B + β C` with every
-/// dimension divisible by the family's base case.
-pub(crate) fn compiled_schedule<T: Scalar>(
-    cfg: &StrassenConfig,
-    sched: &CompiledSchedule,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    ws: &mut [T],
-    depth: usize,
-) {
-    let (fm, fk, fnn) = sched.algorithm().dims();
-    let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
-    debug_assert!(m % fm == 0 && k % fk == 0 && n % fnn == 0);
-    let (bm, bk, bn) = (m / fm, k / fk, n / fnn);
+const X: Slot = Slot::Tmp(0, Shape::Mk);
+const Y: Slot = Slot::Tmp(1, Shape::Kn);
+const P: Slot = Slot::Tmp(2, Shape::Mn);
 
-    let (x_buf, rest) = ws.split_at_mut(if sched.needs_x() { bm * bk } else { 0 });
-    let (y_buf, rest) = rest.split_at_mut(if sched.needs_y() { bk * bn } else { 0 });
-    let (p_buf, rest) = rest.split_at_mut(bm * bn);
-
-    let sign = |cf: i32| if cf >= 0 { T::ONE } else { -T::ONE };
-
-    for step in &sched.products {
-        let mut child_alpha = alpha;
-
-        if step.a_terms.len() > 1 {
-            let mut x = MatMut::from_slice(&mut *x_buf, bm, bk, bm.max(1));
-            for (t, &(blk, cf)) in step.a_terms.iter().enumerate() {
-                let blv = a.submatrix((blk / fk) * bm, (blk % fk) * bk, bm, bk);
-                axpby(sign(cf), blv, if t == 0 { T::ZERO } else { T::ONE }, x.rb_mut());
+/// Lower a table whose coefficients are all in `{−1, 0, +1}` (checked by
+/// the caller) into one node per product.
+pub(crate) fn lower(alg: &FastAlgorithm) -> Program {
+    let (m, k, n) = alg.dims();
+    let sign = |cf: i32| if cf >= 0 { Coef::One } else { Coef::NegOne };
+    let mut seen = vec![false; m * n];
+    let mut nodes = Vec::with_capacity(alg.rank());
+    for r in 0..alg.rank() {
+        let a_terms: Vec<(usize, i32)> = (0..m * k).map(|b| (b, alg.u_at(r, b / k, b % k))).collect();
+        let b_terms: Vec<(usize, i32)> = (0..k * n).map(|b| (b, alg.v_at(r, b / n, b % n))).collect();
+        let mut ops = Vec::new();
+        let mut negate = false;
+        let mut operand = |terms: Vec<(usize, i32)>, block: fn(u8) -> Slot, tmp: Slot| {
+            let terms: Vec<_> = terms.into_iter().filter(|&(_, cf)| cf != 0).collect();
+            assert!(!terms.is_empty(), "{}: empty product {r}", alg.name());
+            if let [(blk, cf)] = terms[..] {
+                negate ^= cf < 0;
+                return block(blk as u8);
             }
-        } else {
-            child_alpha *= sign(step.a_terms[0].1);
-        }
-        let s = if step.a_terms.len() > 1 {
-            MatRef::from_slice(&*x_buf, bm, bk, bm.max(1))
-        } else {
-            let blk = step.a_terms[0].0;
-            a.submatrix((blk / fk) * bm, (blk % fk) * bk, bm, bk)
-        };
-
-        if step.b_terms.len() > 1 {
-            let mut y = MatMut::from_slice(&mut *y_buf, bk, bn, bk.max(1));
-            for (t, &(blk, cf)) in step.b_terms.iter().enumerate() {
-                let blv = b.submatrix((blk / fnn) * bk, (blk % fnn) * bn, bk, bn);
-                axpby(sign(cf), blv, if t == 0 { T::ZERO } else { T::ONE }, y.rb_mut());
+            for (t, &(blk, cf)) in terms.iter().enumerate() {
+                let keep = if t == 0 { Coef::Zero } else { Coef::One };
+                ops.push(Op::Axpby(sign(cf), block(blk as u8), keep, tmp));
             }
-        } else {
-            child_alpha *= sign(step.b_terms[0].1);
-        }
-        let t_view = if step.b_terms.len() > 1 {
-            MatRef::from_slice(&*y_buf, bk, bn, bk.max(1))
-        } else {
-            let blk = step.b_terms[0].0;
-            b.submatrix((blk / fnn) * bk, (blk % fnn) * bn, bk, bn)
+            tmp
         };
-
-        let mut p = MatMut::from_slice(&mut *p_buf, bm, bn, bm.max(1));
-        fmm(cfg, child_alpha, s, t_view, T::ZERO, p.rb_mut(), rest, depth + 1);
-
-        let pr = MatRef::from_slice(&*p_buf, bm, bn, bm.max(1));
-        for &(blk, cf, first) in &step.writes {
-            let cblk = c.submatrix_mut((blk / fnn) * bm, (blk % fnn) * bn, bm, bn);
-            axpby(sign(cf), pr, if first { beta } else { T::ONE }, cblk);
+        let lhs = operand(a_terms, Slot::A, X);
+        let rhs = operand(b_terms, Slot::B, Y);
+        let alpha = if negate { Coef::NegAlpha } else { Coef::Alpha };
+        ops.push(Op::Fmm(alpha, lhs, rhs, Coef::Zero, P));
+        for blk in 0..m * n {
+            let cf = alg.w_at(r, blk / n, blk % n);
+            if cf != 0 {
+                let keep = if std::mem::replace(&mut seen[blk], true) { Coef::One } else { Coef::Beta };
+                ops.push(Op::Axpby(sign(cf), P, keep, Slot::C(blk as u8)));
+            }
         }
+        nodes.push(Node { name: format!("p{}", r + 1), ops });
     }
+    assert!(seen.iter().all(|&s| s), "{}: some C block is never written", alg.name());
+    Program::new((m, k, n), false, nodes)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::StrassenConfig;
     use crate::cutoff::CutoffCriterion;
     use crate::fastmm::Family;
-    use blas::level3::{gemm, GemmConfig};
+    use crate::schedules::exec::{self, tests::check_one_level};
     use blas::Op;
-    use matrix::{norms, random};
+    use matrix::random;
 
     fn one_level_check(fam: Family, m: usize, k: usize, n: usize, alpha: f64, beta: f64) {
         // Children always fall straight to GEMM: isolates ONE level.
         let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1);
-        let sched = fam.compiled();
-        let a = random::uniform::<f64>(m, k, 7);
-        let b = random::uniform::<f64>(k, n, 8);
-        let c0 = random::uniform::<f64>(m, n, 9);
-        let mut c = c0.clone();
-        let mut ws = vec![0.0; sched.per_level_elements(m, k, n)];
-        compiled_schedule(&cfg, sched, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut(), &mut ws, 0);
-        let mut expect = c0.clone();
-        gemm(
-            &GemmConfig::naive(),
-            alpha,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            beta,
-            expect.as_mut(),
-        );
-        norms::assert_allclose(c.as_ref(), expect.as_ref(), 1e-12, &format!("{fam:?} one level"));
+        let prog = fam.compiled().program();
+        let ws = prog.workspace_elements(m, k, n);
+        check_one_level(&cfg, prog, (m, k, n), (7, 8, Some(9)), (alpha, beta), ws, 1e-12);
     }
 
     #[test]
@@ -139,8 +97,8 @@ mod tests {
 
     #[test]
     fn workspace_draw_is_exactly_per_level() {
-        // One level with exactly per_level_elements must not panic
-        // (split_at_mut would, on any overdraw).
+        // One level with exactly the program's workspace must not panic
+        // (split_at_mut or a view's bounds check would, on any overdraw).
         one_level_check(Family::F333, 12, 9, 15, 1.0, 2.0);
     }
 
@@ -159,13 +117,13 @@ mod tests {
         let a = int(m, k, 3);
         let b = int(k, n, 5);
         let c0 = int(m, n, 7);
-        let sched = Family::F222.compiled();
+        let sched = Family::F222.compiled().program();
         for beta in [0.0, 1.0, -2.0] {
             // One compiled level, children straight to GEMM …
             let one = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1);
             let mut compiled = c0.clone();
-            let mut ws = vec![0.0; sched.per_level_elements(m, k, n)];
-            compiled_schedule(&one, sched, 2.0, a.as_ref(), b.as_ref(), beta, compiled.as_mut(), &mut ws, 0);
+            let mut ws = vec![0.0; sched.workspace_elements(m, k, n)];
+            exec::run(&one, sched, 2.0, a.as_ref(), b.as_ref(), beta, compiled.as_mut(), &mut ws, 0);
             // … against the full legacy recursion (τ = 4, two levels).
             let legacy_cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Simple { tau: 4 }).fused(false);
             let mut legacy = c0.clone();

@@ -7,10 +7,10 @@
 //! than STRASSEN1's `m/2 · max(k/2, n/2)` X whenever `n > k`, and far
 //! less than STRASSEN2's three temporaries:
 //!
-//! * [`two_temp_beta_zero`] — `C ← α A B`: products land directly in
+//! * [`TWO_TEMP_BETA_ZERO`] — `C ← α A B`: products land directly in
 //!   `C`'s quadrants; recursion-total extra memory `(mk + kn)/3`
 //!   (`2m²/3` square, like STRASSEN1, but with the smaller `X`).
-//! * [`in_place_accumulate`] — `C ← α A B + β C` *without product
+//! * [`IN_PLACE`] — `C ← α A B + β C` *without product
 //!   temporaries*: after a `β` pre-scale, all seven products are
 //!   multiply-accumulates (`β = 1` children) and the `U`-combinations
 //!   are realized by **bracket imports**: a quadrant subtracts a peer
@@ -24,213 +24,111 @@
 //! error envelope carries an extra `β`-dependent term (see
 //! `accuracy::bound`).
 
-use crate::config::StrassenConfig;
-use crate::dispatch::fmm;
-use crate::trace::add::{accum, accum_sub, add_into, rsub_into, scale_in_place, sub_into};
-use matrix::{MatMut, MatRef, Scalar};
+use super::program::quad::*;
+use super::program::{Coef::*, Op::*, Program, Shape, Slot};
+use std::sync::LazyLock;
+
+const X: Slot = Slot::Tmp(0, Shape::Mk);
+const Y: Slot = Slot::Tmp(1, Shape::Kn);
 
 /// `C ← α A B` (β = 0) with temporaries `X (m/2 × k/2)`, `Y (k/2 × n/2)`
-/// only. Requires even `m, k, n`. 13 add passes; children: 4 products
-/// with `β = 0` (P7, P5, P6, P1) and 3 multiply-accumulates (P3, P4, P2).
-pub(crate) fn two_temp_beta_zero<T: Scalar>(
-    cfg: &StrassenConfig,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    ws: &mut [T],
-    depth: usize,
-) {
-    let (m, n) = (a.nrows(), b.ncols());
-    let k = a.ncols();
-    debug_assert!(m % 2 == 0 && k % 2 == 0 && n % 2 == 0);
-    let (m2, k2, n2) = (m / 2, k / 2, n / 2);
-    let (a11, a12, a21, a22) = a.quadrants(m2, k2);
-    let (b11, b12, b21, b22) = b.quadrants(k2, n2);
-    let (mut c11, mut c12, mut c21, mut c22) = c.split_quadrants(m2, n2);
-
-    let (x_buf, rest) = ws.split_at_mut(m2 * k2);
-    let (y_buf, rest) = rest.split_at_mut(k2 * n2);
-    let mut x = MatMut::from_slice(x_buf, m2, k2, m2.max(1));
-    let mut y = MatMut::from_slice(y_buf, k2, n2, k2.max(1));
-
-    sub_into(x.rb_mut(), a11, a21); // X = S3
-    sub_into(y.rb_mut(), b22, b12); // Y = T3
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ZERO, c21.rb_mut(), rest, depth + 1); // C21 = αP7
-
-    add_into(x.rb_mut(), a21, a22); // X = S1
-    sub_into(y.rb_mut(), b12, b11); // Y = T1
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ZERO, c22.rb_mut(), rest, depth + 1); // C22 = αP5
-
-    accum_sub(x.rb_mut(), a11); // X = S2 = S1 − A11
-    rsub_into(y.rb_mut(), b22); // Y = T2 = B22 − T1
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ZERO, c12.rb_mut(), rest, depth + 1); // C12 = αP6
-
-    fmm(cfg, alpha, a11, b11, T::ZERO, c11.rb_mut(), rest, depth + 1); // C11 = αP1
-
-    accum(c12.rb_mut(), c11.as_ref()); // C12 = αU2 = α(P1+P6)
-    accum(c21.rb_mut(), c12.as_ref()); // C21 = αU3 = α(U2+P7)
-    accum(c22.rb_mut(), c21.as_ref()); // C22 = α(U3+P5)   (final)
-    accum(c12.rb_mut(), c22.as_ref()); // C12 = α(U2+U3+P5)
-    accum_sub(c12.rb_mut(), c21.as_ref()); // C12 = α(U2+P5)
-
-    rsub_into(x.rb_mut(), a12); // X = S4 = A12 − S2
-    fmm(cfg, alpha, x.as_ref(), b22, T::ONE, c12.rb_mut(), rest, depth + 1); // C12 += αP3 (final)
-
-    accum_sub(y.rb_mut(), b21); // Y = T4 = T2 − B21
-    fmm(cfg, -alpha, a22, y.as_ref(), T::ONE, c21.rb_mut(), rest, depth + 1); // C21 −= αP4 (final)
-
-    fmm(cfg, alpha, a12, b21, T::ONE, c11.rb_mut(), rest, depth + 1); // C11 += αP2 (final)
-}
+/// only. 13 add passes; children: 4 products with `β = 0` (P7, P5, P6,
+/// P1) and 3 multiply-accumulates (P3, P4, P2).
+pub(crate) static TWO_TEMP_BETA_ZERO: LazyLock<Program> = LazyLock::new(|| {
+    Program::hand(
+        false,
+        &[
+            ("p7", &[SubInto(X, A11, A21), SubInto(Y, B22, B12), Fmm(Alpha, X, Y, Zero, C21)]), // C21 = αP7
+            ("p5", &[AddInto(X, A21, A22), SubInto(Y, B12, B11), Fmm(Alpha, X, Y, Zero, C22)]), // C22 = αP5
+            ("p6", &[AccumSub(X, A11), RSubInto(Y, B22), Fmm(Alpha, X, Y, Zero, C12)]), // X = S2, Y = T2
+            ("p1", &[Fmm(Alpha, A11, B11, Zero, C11)]),                                 // C11 = αP1
+            // C12 = αU2, C21 = αU3, C22 = α(U3+P5) (final), C12 = α(U2+U3+P5), C12 = α(U2+P5)
+            ("u", &[Accum(C12, C11), Accum(C21, C12), Accum(C22, C21), Accum(C12, C22), AccumSub(C12, C21)]),
+            ("p3", &[RSubInto(X, A12), Fmm(Alpha, X, B22, One, C12)]), // X = S4; C12 += αP3 (final)
+            ("p4", &[AccumSub(Y, B21), Fmm(NegAlpha, A22, Y, One, C21)]), // Y = T4; C21 −= αP4 (final)
+            ("p2", &[Fmm(Alpha, A12, B21, One, C11)]),                 // C11 += αP2 (final)
+        ],
+    )
+});
 
 /// `C ← α A B + β C` in place: temporaries `X (m/2 × k/2)` and
-/// `Y (k/2 × n/2)` only, no product staging. Requires even `m, k, n`.
-/// One `β` pre-scale pass (a zero-fill when `β = 0`, elided when
-/// `β = 1`), 20 add passes, and all seven children are
-/// multiply-accumulates.
+/// `Y (k/2 × n/2)` only, no product staging. One `β` pre-scale pass (a
+/// zero-fill when `β = 0`, elided when `β = 1`), 20 add passes, and all
+/// seven children are multiply-accumulates.
 ///
 /// Bracket-import structure: `q −= q′` *before* `q′` gains a product,
 /// `q += q′` after — `q` receives exactly the product while `q′`'s
 /// `βC₀` content cancels. The three brackets below import `U2 = P1+P6`
 /// into C12/C22, `P5` into C12, and `P7` into C21.
-pub(crate) fn in_place_accumulate<T: Scalar>(
-    cfg: &StrassenConfig,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-    ws: &mut [T],
-    depth: usize,
-) {
-    let (m, n) = (a.nrows(), b.ncols());
-    let k = a.ncols();
-    debug_assert!(m % 2 == 0 && k % 2 == 0 && n % 2 == 0);
-    let (m2, k2, n2) = (m / 2, k / 2, n / 2);
-
-    let mut c = c;
-    scale_in_place(beta, c.rb_mut()); // C ← βC (fill when β = 0)
-
-    let (a11, a12, a21, a22) = a.quadrants(m2, k2);
-    let (b11, b12, b21, b22) = b.quadrants(k2, n2);
-    let (mut c11, mut c12, mut c21, mut c22) = c.split_quadrants(m2, n2);
-
-    let (x_buf, rest) = ws.split_at_mut(m2 * k2);
-    let (y_buf, rest) = rest.split_at_mut(k2 * n2);
-    let mut x = MatMut::from_slice(x_buf, m2, k2, m2.max(1));
-    let mut y = MatMut::from_slice(y_buf, k2, n2, k2.max(1));
-
-    accum_sub(c12.rb_mut(), c21.as_ref()); // open U2 bracket for C12
-    accum_sub(c22.rb_mut(), c21.as_ref()); // open U2 bracket for C22
-
-    add_into(x.rb_mut(), a21, a22); // X = S1
-    accum_sub(x.rb_mut(), a11); // X = S2 = A21+A22−A11
-    sub_into(y.rb_mut(), b22, b12); // Y = B22−B12
-    accum(y.rb_mut(), b11); // Y = T2 = B22−B12+B11
-
-    accum_sub(c21.rb_mut(), c11.as_ref()); // open P1 bracket
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ONE, c21.rb_mut(), rest, depth + 1); // C21 += αP6
-    fmm(cfg, alpha, a11, b11, T::ONE, c11.rb_mut(), rest, depth + 1); // C11 += αP1
-    accum(c21.rb_mut(), c11.as_ref()); // close: C21 = βC21₀ + αU2
-
-    accum(c12.rb_mut(), c21.as_ref()); // close: C12 = βC12₀ + αU2
-    accum(c22.rb_mut(), c21.as_ref()); // close: C22 = βC22₀ + αU2
-
-    rsub_into(x.rb_mut(), a12); // X = S4 = A12 − S2
-    fmm(cfg, alpha, x.as_ref(), b22, T::ONE, c12.rb_mut(), rest, depth + 1); // C12 += αP3
-
-    accum_sub(y.rb_mut(), b21); // Y = T4 = T2 − B21
-    fmm(cfg, -alpha, a22, y.as_ref(), T::ONE, c21.rb_mut(), rest, depth + 1); // C21 −= αP4
-
-    add_into(x.rb_mut(), a21, a22); // X = S1
-    sub_into(y.rb_mut(), b12, b11); // Y = T1
-    accum_sub(c12.rb_mut(), c22.as_ref()); // open P5 bracket
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ONE, c22.rb_mut(), rest, depth + 1); // C22 += αP5
-    accum(c12.rb_mut(), c22.as_ref()); // close: C12 final
-
-    sub_into(x.rb_mut(), a11, a21); // X = S3
-    sub_into(y.rb_mut(), b22, b12); // Y = T3
-    accum_sub(c21.rb_mut(), c22.as_ref()); // open P7 bracket
-    fmm(cfg, alpha, x.as_ref(), y.as_ref(), T::ONE, c22.rb_mut(), rest, depth + 1); // C22 += αP7 (final)
-    accum(c21.rb_mut(), c22.as_ref()); // close: C21 final
-
-    fmm(cfg, alpha, a12, b21, T::ONE, c11.rb_mut(), rest, depth + 1); // C11 += αP2 (final)
-}
+pub(crate) static IN_PLACE: LazyLock<Program> = LazyLock::new(|| {
+    Program::hand(
+        false,
+        &[
+            ("beta", &[Scale(Beta, Slot::WholeC)]), // C ← βC (fill when β = 0)
+            ("open_u2", &[AccumSub(C12, C21), AccumSub(C22, C21)]), // open U2 brackets for C12, C22
+            // X = S2 = A21+A22−A11, Y = T2 = B22−B12+B11
+            ("s2t2", &[AddInto(X, A21, A22), AccumSub(X, A11), SubInto(Y, B22, B12), Accum(Y, B11)]),
+            ("open_p1", &[AccumSub(C21, C11)]),
+            ("p6", &[Fmm(Alpha, X, Y, One, C21)]),     // C21 += αP6
+            ("p1", &[Fmm(Alpha, A11, B11, One, C11)]), // C11 += αP1
+            ("close_p1", &[Accum(C21, C11)]),          // C21 = βC21₀ + αU2
+            ("close_u2", &[Accum(C12, C21), Accum(C22, C21)]), // C12, C22 = βC₀ + αU2
+            ("p3", &[RSubInto(X, A12), Fmm(Alpha, X, B22, One, C12)]), // X = S4; C12 += αP3
+            ("p4", &[AccumSub(Y, B21), Fmm(NegAlpha, A22, Y, One, C21)]), // Y = T4; C21 −= αP4
+            ("s1t1", &[AddInto(X, A21, A22), SubInto(Y, B12, B11), AccumSub(C12, C22)]), // open P5 bracket
+            ("p5", &[Fmm(Alpha, X, Y, One, C22), Accum(C12, C22)]), // C22 += αP5; close: C12 final
+            ("s3t3", &[SubInto(X, A11, A21), SubInto(Y, B22, B12), AccumSub(C21, C22)]), // open P7 bracket
+            ("p7", &[Fmm(Alpha, X, Y, One, C22), Accum(C21, C22)]), // C22 += αP7 (final); close: C21 final
+            ("p2", &[Fmm(Alpha, A12, B21, One, C11)]), // C11 += αP2 (final)
+        ],
+    )
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StrassenConfig;
     use crate::cutoff::CutoffCriterion;
-    use blas::level3::{gemm, GemmConfig};
-    use blas::Op;
-    use matrix::{norms, random, Matrix};
+    use crate::schedules::exec::tests::check_one_level;
 
     fn cfg_stop_everything() -> StrassenConfig {
         StrassenConfig::dgefmm().cutoff(CutoffCriterion::Never).max_depth(1)
     }
 
+    /// `X` and `Y` only: `m/2 × k/2 + k/2 × n/2`.
+    fn two_temps(m: usize, k: usize, n: usize) -> usize {
+        (m / 2) * (k / 2) + (k / 2) * (n / 2)
+    }
+
     #[test]
     fn two_temp_one_level_matches_gemm() {
+        let ws = two_temps(12, 8, 10);
         let cfg = cfg_stop_everything();
-        let (m, k, n) = (12, 8, 10);
-        let a = random::uniform::<f64>(m, k, 1);
-        let b = random::uniform::<f64>(k, n, 2);
-        let mut c = Matrix::<f64>::zeros(m, n);
-        let mut ws = vec![0.0; (m / 2) * (k / 2) + (k / 2) * (n / 2)];
-        two_temp_beta_zero(&cfg, 2.0, a.as_ref(), b.as_ref(), c.as_mut(), &mut ws, 0);
-        let mut expect = Matrix::<f64>::zeros(m, n);
-        gemm(
-            &GemmConfig::naive(),
-            2.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            expect.as_mut(),
-        );
-        norms::assert_allclose(c.as_ref(), expect.as_ref(), 1e-13, "two-temp one level");
+        check_one_level(&cfg, &TWO_TEMP_BETA_ZERO, (12, 8, 10), (1, 2, None), (2.0, 0.0), ws, 1e-13);
     }
 
     #[test]
     fn in_place_one_level_accumulates_beta() {
-        let cfg = cfg_stop_everything();
-        let (m, k, n) = (8, 6, 4);
-        let a = random::uniform::<f64>(m, k, 3);
-        let b = random::uniform::<f64>(k, n, 4);
-        let c0 = random::uniform::<f64>(m, n, 5);
         for beta in [0.0, 1.0, -2.0] {
-            let mut c = c0.clone();
-            let mut ws = vec![0.0; (m / 2) * (k / 2) + (k / 2) * (n / 2)];
-            in_place_accumulate(&cfg, 1.5, a.as_ref(), b.as_ref(), beta, c.as_mut(), &mut ws, 0);
-            let mut expect = c0.clone();
-            gemm(
-                &GemmConfig::naive(),
-                1.5,
-                Op::NoTrans,
-                a.as_ref(),
-                Op::NoTrans,
-                b.as_ref(),
-                beta,
-                expect.as_mut(),
+            let ws = two_temps(8, 6, 4);
+            check_one_level(
+                &cfg_stop_everything(),
+                &IN_PLACE,
+                (8, 6, 4),
+                (3, 4, Some(5)),
+                (1.5, beta),
+                ws,
+                1e-12,
             );
-            norms::assert_allclose(c.as_ref(), expect.as_ref(), 1e-12, &format!("in-place β={beta}"));
         }
     }
 
     #[test]
     fn workspace_is_exactly_two_temps() {
-        // Any draw beyond X + Y would panic the split; run at the exact
-        // size to pin the two-temp claim.
-        let cfg = cfg_stop_everything();
-        let (m, k, n) = (16, 12, 20);
-        let a = random::uniform::<f64>(m, k, 6);
-        let b = random::uniform::<f64>(k, n, 7);
-        let mut c = random::uniform::<f64>(m, n, 8);
-        let mut ws = vec![0.0; (m / 2) * (k / 2) + (k / 2) * (n / 2)];
-        in_place_accumulate(&cfg, 1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut(), &mut ws, 0);
-        let mut ws2 = vec![0.0; (m / 2) * (k / 2) + (k / 2) * (n / 2)];
-        let mut c2 = Matrix::<f64>::zeros(m, n);
-        two_temp_beta_zero(&cfg, 1.0, a.as_ref(), b.as_ref(), c2.as_mut(), &mut ws2, 0);
+        // Any draw beyond X + Y would panic the split or a view's bounds
+        // check; run at the exact size to pin the two-temp claim.
+        let (cfg, ws) = (cfg_stop_everything(), two_temps(16, 12, 20));
+        check_one_level(&cfg, &IN_PLACE, (16, 12, 20), (6, 7, Some(8)), (1.0, 1.0), ws, 1e-12);
+        check_one_level(&cfg, &TWO_TEMP_BETA_ZERO, (16, 12, 20), (6, 7, None), (1.0, 0.0), ws, 1e-12);
     }
 }

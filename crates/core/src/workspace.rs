@@ -41,17 +41,17 @@ pub enum ResolvedScheme {
     /// Boyer–Dumas–Pernet–Zhou in-place accumulating schedule: any `β`
     /// with the same two temporaries and no product staging.
     InPlaceAccumulate,
-    /// Generic compiled coefficient-table executor for a non-⟨2,2,2⟩
-    /// family (temporaries `X`, `Y`, `P` sized by the family's base
-    /// blocks; see [`Family::compiled`]).
+    /// A non-⟨2,2,2⟩ family's lowered coefficient table (temporaries
+    /// `X`, `Y`, `P` sized by the family's base blocks; see
+    /// [`Family::compiled`]).
     Compiled(Family),
 }
 
 /// Resolve which schedule a configuration runs for a given `β`.
 ///
 /// A non-default [`StrassenConfig::family`] overrides variant and scheme
-/// outright: only the compiled executor knows how to split ⟨m,k,n⟩ base
-/// cases other than 2×2×2. The BDPZ schemes are Winograd-variant 2×2×2
+/// outright: only a lowered table splits ⟨m,k,n⟩ base cases other than
+/// 2×2×2. The BDPZ schemes are Winograd-variant 2×2×2
 /// schedules; under [`Variant::Original`] they fall back to the original
 /// paths like every other scheme.
 pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
@@ -75,33 +75,19 @@ pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
 
 /// Temporary elements one recursion level of `scheme` needs, given
 /// dimensions `(m, k, n)` already divisible by the scheme's base case
-/// (so ⟨2,2,2⟩ quadrants are `m/2 × k/2` etc.).
+/// (so ⟨2,2,2⟩ quadrants are `m/2 × k/2` etc.): each temporary of its
+/// program at the largest shape it is used at, plus the `m × n` buffer
+/// the general original variant stages its `β = 0` run into.
 pub fn per_level_elements(scheme: ResolvedScheme, m: usize, k: usize, n: usize) -> usize {
-    let (m2, k2, n2) = (m / 2, k / 2, n / 2);
-    match scheme {
-        ResolvedScheme::Strassen1BetaZero => m2 * k2.max(n2) + k2 * n2,
-        ResolvedScheme::Strassen1General => m2 * k2.max(n2) + k2 * n2 + 4 * m2 * n2,
-        ResolvedScheme::Strassen2 => m2 * k2 + k2 * n2 + m2 * n2,
-        ResolvedScheme::OriginalBetaZero => m2 * k2 + k2 * n2 + m2 * n2,
-        // General original: β=0 run into a staged full m×n buffer.
-        ResolvedScheme::OriginalGeneral => m2 * k2 + k2 * n2 + m2 * n2 + 4 * m2 * n2,
-        ResolvedScheme::SevenTemp => 4 * m2 * k2 + 4 * k2 * n2 + 7 * m2 * n2,
-        // BDPZ: only the two operand temporaries, both β classes.
-        ResolvedScheme::TwoTempBetaZero | ResolvedScheme::InPlaceAccumulate => m2 * k2 + k2 * n2,
-        ResolvedScheme::Compiled(fam) => fam.compiled().per_level_elements(m, k, n),
-    }
-}
-
-/// The base-case unit each dimension must be divisible by at a level.
-fn family_units(cfg: &StrassenConfig) -> (usize, usize, usize) {
-    cfg.family.dims()
+    let staged = if scheme == ResolvedScheme::OriginalGeneral { m * n } else { 0 };
+    staged + scheme.program().workspace_elements(m, k, n)
 }
 
 /// Round each dimension down (peeling) or up (padding) to a multiple of
 /// the family's base case, as the configured odd-handling will do at
 /// runtime.
 fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize, usize) {
-    let (dm, dk, dn) = family_units(cfg);
+    let (dm, dk, dn) = cfg.family.dims();
     match cfg.odd {
         OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst => {
             (m - m % dm, k - k % dk, n - n % dn)
@@ -121,7 +107,9 @@ fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize
 /// the current level's temporaries plus the worst-case requirement of its
 /// recursive sub-products (which all share, sequentially, the same tail
 /// of the arena — except [`Scheme::SevenTemp`] within `parallel_depth`,
-/// where the seven sub-products need *simultaneous* sub-arenas).
+/// where the seven sub-products need *simultaneous* sub-arenas). The
+/// temporaries and the children's β classes are read from the level's
+/// program.
 pub fn required_workspace(cfg: &StrassenConfig, m: usize, k: usize, n: usize, beta_zero: bool) -> usize {
     required_at_depth(cfg, m, k, n, beta_zero, 0)
 }
@@ -153,7 +141,7 @@ fn required_at_depth(
         // with dynamic padding as the (normally never-triggered)
         // fallback — exactly what the runtime path does.
         let d = static_padding_depth_for(cfg, m, k, n, beta_zero);
-        let (dm, dk, dn) = family_units(cfg);
+        let (dm, dk, dn) = cfg.family.dims();
         let inner = StrassenConfig { odd: OddHandling::DynamicPadding, ..*cfg };
         return required_at_depth(
             &inner,
@@ -170,30 +158,23 @@ fn required_at_depth(
     if (me, ke, ne) != (m, k, n) && fuse_last_level(cfg, me, ke, ne, depth) {
         return 0;
     }
-    let per = per_level_elements(scheme, me, ke, ne);
-    let (dm, dk, dn) = family_units(cfg);
+    let prog = scheme.program();
+    let per = prog.workspace_elements(me, ke, ne);
+    let (dm, dk, dn) = cfg.family.dims();
     let (m2, k2, n2) = (me / dm, ke / dk, ne / dn);
-    // Sub-products: STRASSEN1/original/seven-temp/compiled spawn only
-    // β=0 children; the in-place BDPZ schedule spawns only β=1
-    // multiply-accumulates. STRASSEN2 and the two-temp BDPZ schedule
-    // spawn both classes; under a single criterion the β≠0 sizing
-    // dominates, but a `cutoff_general` override can let either class
-    // recurse deeper — take the max.
-    let sub = match scheme {
-        ResolvedScheme::Strassen2 | ResolvedScheme::TwoTempBetaZero => required_at_depth(
-            cfg,
-            m2,
-            k2,
-            n2,
-            true,
-            depth + 1,
-        )
-        .max(required_at_depth(cfg, m2, k2, n2, false, depth + 1)),
-        ResolvedScheme::InPlaceAccumulate => required_at_depth(cfg, m2, k2, n2, false, depth + 1),
-        _ => required_at_depth(cfg, m2, k2, n2, true, depth + 1),
-    };
-    if scheme == ResolvedScheme::SevenTemp && depth < cfg.parallel_depth {
-        per + 7 * sub
+    // Sub-products share the arena tail one at a time. A program whose
+    // children span both β classes sizes for the larger (a
+    // `cutoff_general` override can let either class recurse deeper).
+    let (zero_children, general_children) = prog.child_mix(beta_zero);
+    let sub = [(zero_children, true), (general_children, false)]
+        .into_iter()
+        .filter(|&(count, _)| count > 0)
+        .map(|(_, bz)| required_at_depth(cfg, m2, k2, n2, bz, depth + 1))
+        .max()
+        .unwrap_or(0);
+    // A level run as a task DAG gives each product its own share.
+    if prog.runs_as_dag(cfg, depth) {
+        per + prog.rank() * sub
     } else {
         per + sub
     }
@@ -210,7 +191,7 @@ pub fn padding_copy_elements(cfg: &StrassenConfig, m: usize, k: usize, n: usize)
             if cfg.cutoff.should_stop(m, k, n) {
                 return 0;
             }
-            let (dm, dk, dn) = family_units(cfg);
+            let (dm, dk, dn) = cfg.family.dims();
             let (me, ke, ne) = (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn));
             let here = if (me, ke, ne) == (m, k, n) {
                 0
@@ -225,7 +206,7 @@ pub fn padding_copy_elements(cfg: &StrassenConfig, m: usize, k: usize, n: usize)
             if d == 0 {
                 return 0;
             }
-            let (dm, dk, dn) = family_units(cfg);
+            let (dm, dk, dn) = cfg.family.dims();
             let (mp, kp, np) =
                 (m.next_multiple_of(dm.pow(d)), k.next_multiple_of(dk.pow(d)), n.next_multiple_of(dn.pow(d)));
             if (mp, kp, np) == (m, k, n) {
@@ -246,7 +227,7 @@ pub fn static_padding_depth(cfg: &StrassenConfig, m: usize, k: usize, n: usize) 
 /// [`static_padding_depth`] under the criterion for the given `β` class.
 pub fn static_padding_depth_for(cfg: &StrassenConfig, m: usize, k: usize, n: usize, beta_zero: bool) -> u32 {
     let crit = cfg.criterion_for(beta_zero);
-    let (dm, dk, dn) = family_units(cfg);
+    let (dm, dk, dn) = cfg.family.dims();
     let (mut a, mut b, mut c) = (m, k, n);
     let mut d = 0;
     while !crit.should_stop(a, b, c) {

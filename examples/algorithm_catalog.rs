@@ -72,8 +72,8 @@ fn family_table() -> String {
         let sched = fam.compiled();
         let (dm, dk, dn) = fam.dims();
         let (m, k, n) = reference_shape(fam);
-        // Measure the compiled executor live (F222 runs its legacy
-        // schedules in production, so probe the compiled numbers from
+        // Measure the lowered tables live (F222 runs its hand-scheduled
+        // programs in production, so probe the compiled numbers from
         // the schedule itself and trace the non-F222 dispatch path).
         let flops = if fam == Family::F222 {
             let cfg = StrassenConfig::dgefmm().cutoff(CutoffCriterion::Simple { tau: 4 }).fused(false);

@@ -34,17 +34,22 @@ echo "== 5/17 AddressSanitizer over the unsafe kernels (nightly) =="
 # The blas unit tests (micro-kernels, packers, the unpacked small tier's
 # masked loads and stores, the pack-buffer lease), the kernel
 # conformance suite, the fused Strassen level, the ⟨m,k,n⟩ family
-# engine and the Table-1 memory tests under ASan. A mask one lane too
-# wide in the small tier reads or writes past a view's last column, and
-# a packed nest that overruns its pack slab (table1_memory leases it at
-# exactly its computed size), and either fails here as a
+# engine, the Table-1 memory tests, the schedule programs and their
+# executor, the golden schedules and the probe cross-check under ASan.
+# A mask one lane too wide in the small tier reads or writes past a
+# view's last column, a packed nest that overruns its pack slab
+# (table1_memory leases it at exactly its computed size), and a
+# schedule view rebuilt from a raw slot with a wrong length or leading
+# dimension (the schedule unit tests and probe_crosscheck's high-water
+# tests run at exactly the computed workspace) each fail here as a
 # heap-buffer-overflow. Own target directory: the sanitized build must
 # not mix with the release artifacts above.
 ASAN=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
     cargo +nightly test --offline -q --target x86_64-unknown-linux-gnu)
 "${ASAN[@]}" -p strassen-blas --lib
+"${ASAN[@]}" -p strassen --lib schedules::
 "${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test family_engine \
-    --test table1_memory
+    --test table1_memory --test golden_schedules --test probe_crosscheck
 
 echo "== 6/17 clippy (deny warnings) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
