@@ -322,6 +322,50 @@ mod tests {
     }
 
     #[test]
+    fn panel_walk_residues_match_classic_bitwise() {
+        // The macro-kernel walks the A-row panels of a block in quads,
+        // then a pair, then a single. Blocks of 1..=8 panels, whole and
+        // with an MR row tail, plus heights that split into a full and a
+        // ragged ic block, reach every residue of that walk. n > 160 keeps
+        // the unpacked small tier out, so the nest runs every shape.
+        let cfg = GemmConfig { algo: super::super::GemmAlgo::Blocked, mc: 8 * MR, kc: 24, nc: 5 * NR };
+        let (k, n) = (37, 170);
+        let heights = (1..=8).flat_map(|p| [p * MR, p * MR - 3]).chain([11 * MR - 1, 15 * MR + 2]);
+        for m in heights {
+            for beta in [0.0, 0.5] {
+                let a = random::uniform::<f64>(m, k, 23);
+                let b = random::uniform::<f64>(k, n, 24);
+                let c0 = random::uniform::<f64>(m, n, 25);
+                let mut c_new = c0.clone();
+                let mut c_old = c0.clone();
+                gemm_blocked(
+                    &cfg,
+                    0.9,
+                    Op::NoTrans,
+                    a.as_ref(),
+                    Op::NoTrans,
+                    b.as_ref(),
+                    beta,
+                    c_new.as_mut(),
+                );
+                super::super::gemm_blocked_classic(
+                    &cfg,
+                    0.9,
+                    Op::NoTrans,
+                    a.as_ref(),
+                    Op::NoTrans,
+                    b.as_ref(),
+                    beta,
+                    c_old.as_mut(),
+                );
+                let same =
+                    c_new.as_slice().iter().zip(c_old.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "m={m} β={beta}: nest differs from the classic kernel");
+            }
+        }
+    }
+
+    #[test]
     fn matches_classic_bitwise() {
         // The 5-loop rewrite (β fold, paired panels, clamped blocking) is
         // a pure reorganization: identical scalar operation sequences per

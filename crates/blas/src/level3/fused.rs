@@ -51,7 +51,7 @@
 //! ```
 
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
-use super::kernel::{microkernel, microkernel_x2, AccTile, MR, NR};
+use super::kernel::{microkernel, microkernel_x2, microkernel_x4, AccTile, MR, NR};
 use super::packbuf::with_pack_slab;
 use super::parallel::{balanced_quanta, parallel_ways};
 use super::{scale_c, GemmAlgo, GemmConfig};
@@ -245,8 +245,9 @@ fn scatter_tile<T: Scalar>(
 
 /// The macro-kernel: multiply one packed `mb x kb` A-block by one packed
 /// `kb x nb` B-panel and write each register tile into every destination
-/// at `(ic, jc)` of its view, walking the A-row panels in pairs so
-/// AVX-512 parts run the fused `2·MR x NR` micro-kernel.
+/// at `(ic, jc)` of its view. The A-row panels are walked in quads, then
+/// a pair, then a single, so AVX-512 parts run the fused `4·MR x NR`
+/// micro-kernel on all but the last few panels of a block.
 pub(crate) fn macrokernel_multi<T: Scalar>(
     mb: usize,
     kb: usize,
@@ -262,29 +263,37 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
     debug_assert!(dests.iter().all(|d| ic + mb <= d.c.nrows() && jc + nb <= d.c.ncols()));
     let mpanels = mb.div_ceil(MR);
     let npanels = nb.div_ceil(NR);
+    let pa = |qm: usize| &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
     for qn in 0..npanels {
         let col0 = qn * NR;
         let cols = NR.min(nb - col0);
         let pb = &packed_b[qn * NR * kb..(qn + 1) * NR * kb];
+        // Tiles `qm..` of `acc` into every destination.
+        let scatter = |dests: &mut [Dest<'_, T>], acc: &[AccTile<T>], qm: usize| {
+            for (p, tile) in acc.iter().enumerate() {
+                let row0 = (qm + p) * MR;
+                scatter_tile(dests, tile, ic + row0, jc + col0, MR.min(mb - row0), cols);
+            }
+        };
         let mut qm = 0;
-        while qm + 2 <= mpanels {
-            let pa0 = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let pa1 = &packed_a[(qm + 1) * MR * kb..(qm + 2) * MR * kb];
-            let mut acc0: AccTile<T> = [[T::ZERO; MR]; NR];
-            let mut acc1: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel_x2(kb, pa0, pa1, pb, &mut acc0, &mut acc1);
-            let rows0 = MR.min(mb - qm * MR);
-            let rows1 = MR.min(mb - (qm + 1) * MR);
-            scatter_tile(dests, &acc0, ic + qm * MR, jc + col0, rows0, cols);
-            scatter_tile(dests, &acc1, ic + (qm + 1) * MR, jc + col0, rows1, cols);
+        while qm + 4 <= mpanels {
+            let mut acc: [AccTile<T>; 4] = [[[T::ZERO; MR]; NR]; 4];
+            let [a0, a1, a2, a3] = &mut acc;
+            microkernel_x4(kb, [pa(qm), pa(qm + 1), pa(qm + 2), pa(qm + 3)], pb, [a0, a1, a2, a3]);
+            scatter(dests, &acc, qm);
+            qm += 4;
+        }
+        if qm + 2 <= mpanels {
+            let mut acc: [AccTile<T>; 2] = [[[T::ZERO; MR]; NR]; 2];
+            let [a0, a1] = &mut acc;
+            microkernel_x2(kb, pa(qm), pa(qm + 1), pb, a0, a1);
+            scatter(dests, &acc, qm);
             qm += 2;
         }
         if qm < mpanels {
-            let pa = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
-            let mut acc: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel(kb, pa, pb, &mut acc);
-            let rows = MR.min(mb - qm * MR);
-            scatter_tile(dests, &acc, ic + qm * MR, jc + col0, rows, cols);
+            let mut acc: [AccTile<T>; 1] = [[[T::ZERO; MR]; NR]];
+            microkernel(kb, pa(qm), pb, &mut acc[0]);
+            scatter(dests, &acc, qm);
         }
     }
 }

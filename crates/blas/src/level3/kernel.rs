@@ -8,11 +8,11 @@
 //! * an `f64`-specialized kernel compiled with AVX2 + FMA codegen
 //!   (`#[target_feature]`) and an explicit `mul_add` unroll; and
 //! * an `f64` AVX-512 kernel holding each 8-row accumulator column in a
-//!   single zmm register, plus a *paired-panel* variant
-//!   (`microkernel_x2`) that multiplies two adjacent packed-`A` row
-//!   panels against one packed-`B` panel — a logical `16 x 6` tile in
-//!   twelve zmm accumulators, which is what makes the 5-loop macro-kernel
-//!   FMA-bound on AVX-512 parts.
+//!   single zmm register, plus *multi-panel* variants that multiply
+//!   adjacent packed-`A` row panels against one packed-`B` panel:
+//!   `microkernel_x2`, a logical `16 x 6` tile in twelve zmm
+//!   accumulators, and `microkernel_x4`, a `32 x 6` tile in 24, which
+//!   the 5-loop macro-kernel runs on all but a block's last few panels.
 //!
 //! The tile is `8 x 6` for `f64`: on AVX2 that is twelve 4-lane FMA
 //! accumulators (the BLIS `dgemm` shape for that ISA class); on AVX-512
@@ -22,10 +22,10 @@
 //!
 //! Every kernel accumulates each `(row, column)` slot with one
 //! multiply-add per `kk` step in the same `kk` order. The two hardware
-//! kernels (FMA and AVX-512, paired or not) fuse that multiply-add, so
-//! their results are **bitwise identical** to each other — the AVX-512
-//! upgrade and the paired-panel macro iteration can never change
-//! numerics. The generic kernel uses a contracted (unfused)
+//! kernels (FMA and AVX-512, on one panel or several) fuse that
+//! multiply-add, so their results are **bitwise identical** to each
+//! other — the AVX-512 upgrade and the multi-panel macro iteration can
+//! never change numerics. The generic kernel uses a contracted (unfused)
 //! [`Scalar::mul_add`] and agrees to rounding tolerance; it is only ever
 //! selected on CPUs where the hardware kernels cannot run, and
 //! [`kernel_class`] is probed once per process, so results are always
@@ -165,6 +165,48 @@ unsafe fn microkernel_f64_avx512_x2(
     }
 }
 
+/// Four-panel AVX-512 kernel: four adjacent packed-`A` row panels against
+/// one packed-`B` panel, a logical `4·MR x NR = 32 x 6` tile. Register
+/// budget: 24 accumulators, 4 `A` vectors and 1 broadcast, 29 of the 32
+/// zmm registers. Per `kk` step: four contiguous loads, `NR` broadcasts
+/// and `4·NR` fused multiply-adds: twice the FMAs per broadcast `B`
+/// element of the paired kernel, and each packed-`B` panel is swept
+/// half as often.
+///
+/// # Safety
+/// The caller must ensure the running CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_f64_avx512_x4(kb: usize, pa: [&[f64]; 4], pb: &[f64], acc: [&mut AccTile<f64>; 4]) {
+    use core::arch::x86_64::*;
+    debug_assert!(pa.iter().all(|p| p.len() >= kb * MR) && pb.len() >= kb * NR);
+    let mut c = [[_mm512_setzero_pd(); NR]; 4];
+    for (cp, tile) in c.iter_mut().zip(acc.iter()) {
+        for (v, col) in cp.iter_mut().zip(tile.iter()) {
+            *v = _mm512_loadu_pd(col.as_ptr());
+        }
+    }
+    for kk in 0..kb {
+        let a = [
+            _mm512_loadu_pd(pa[0].as_ptr().add(kk * MR)),
+            _mm512_loadu_pd(pa[1].as_ptr().add(kk * MR)),
+            _mm512_loadu_pd(pa[2].as_ptr().add(kk * MR)),
+            _mm512_loadu_pd(pa[3].as_ptr().add(kk * MR)),
+        ];
+        for cc in 0..NR {
+            let bv = _mm512_set1_pd(*pb.get_unchecked(kk * NR + cc));
+            for p in 0..4 {
+                c[p][cc] = _mm512_fmadd_pd(a[p], bv, c[p][cc]);
+            }
+        }
+    }
+    for (cp, tile) in c.iter().zip(acc) {
+        for (v, col) in cp.iter().zip(tile.iter_mut()) {
+            _mm512_storeu_pd(col.as_mut_ptr(), *v);
+        }
+    }
+}
+
 /// Which micro-kernel implementation runs for `f64` on this CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelClass {
@@ -172,7 +214,7 @@ pub enum KernelClass {
     Generic,
     /// AVX2 + FMA `f64` specialization.
     Fma,
-    /// AVX-512F `f64` specialization with paired-panel macro iteration.
+    /// AVX-512F `f64` specialization with multi-panel macro iteration.
     Avx512,
 }
 
@@ -216,6 +258,26 @@ pub(crate) fn is_f64<T: Scalar>() -> bool {
     core::any::TypeId::of::<T>() == core::any::TypeId::of::<f64>()
 }
 
+/// `x` as `&[f64]`.
+///
+/// # Safety
+/// `T` must be `f64` ([`is_f64`]), which makes the cast an identity.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn as_f64<T: Scalar>(x: &[T]) -> &[f64] {
+    core::slice::from_raw_parts(x.as_ptr().cast::<f64>(), x.len())
+}
+
+/// `acc` as an `f64` tile.
+///
+/// # Safety
+/// `T` must be `f64` ([`is_f64`]), which makes the cast an identity.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn as_f64_tile<T: Scalar>(acc: &mut AccTile<T>) -> &mut AccTile<f64> {
+    &mut *(acc as *mut AccTile<T>).cast::<AccTile<f64>>()
+}
+
 /// `acc += pa_panel * pb_panel` over depth `kb`, dispatching to the
 /// `f64` AVX-512 or FMA specialization when the element type and CPU
 /// allow it.
@@ -227,9 +289,7 @@ pub(crate) fn microkernel<T: Scalar>(kb: usize, pa: &[T], pb: &[T], acc: &mut Ac
         // slice and tile reinterpretations are identity casts; the CPU
         // probe guarantees the target features.
         unsafe {
-            let pa = core::slice::from_raw_parts(pa.as_ptr().cast::<f64>(), pa.len());
-            let pb = core::slice::from_raw_parts(pb.as_ptr().cast::<f64>(), pb.len());
-            let acc = &mut *(acc as *mut AccTile<T>).cast::<AccTile<f64>>();
+            let (pa, pb, acc) = (as_f64(pa), as_f64(pb), as_f64_tile(acc));
             match kernel_class() {
                 KernelClass::Avx512 => return microkernel_f64_avx512(kb, pa, pb, acc),
                 KernelClass::Fma => return microkernel_f64_fma(kb, pa, pb, acc),
@@ -259,17 +319,41 @@ pub(crate) fn microkernel_x2<T: Scalar>(
         unsafe {
             microkernel_f64_avx512_x2(
                 kb,
-                core::slice::from_raw_parts(pa0.as_ptr().cast::<f64>(), pa0.len()),
-                core::slice::from_raw_parts(pa1.as_ptr().cast::<f64>(), pa1.len()),
-                core::slice::from_raw_parts(pb.as_ptr().cast::<f64>(), pb.len()),
-                &mut *(acc0 as *mut AccTile<T>).cast::<AccTile<f64>>(),
-                &mut *(acc1 as *mut AccTile<T>).cast::<AccTile<f64>>(),
+                as_f64(pa0),
+                as_f64(pa1),
+                as_f64(pb),
+                as_f64_tile(acc0),
+                as_f64_tile(acc1),
             );
         }
         return;
     }
     microkernel(kb, pa0, pb, acc0);
     microkernel(kb, pa1, pb, acc1);
+}
+
+/// Four-panel form: `acc[p] += pa[p] * pb` for `p = 0..4` in one pass
+/// over the packed-`B` panel. On AVX-512 `f64` this runs the fused
+/// `32 x 6` kernel; elsewhere it is exactly two [`microkernel_x2`]
+/// calls, so results never depend on which path ran.
+#[inline(always)]
+pub(crate) fn microkernel_x4<T: Scalar>(kb: usize, pa: [&[T]; 4], pb: &[T], acc: [&mut AccTile<T>; 4]) {
+    let [acc0, acc1, acc2, acc3] = acc;
+    #[cfg(target_arch = "x86_64")]
+    if is_f64::<T>() && kernel_class() == KernelClass::Avx512 {
+        // SAFETY: T is exactly f64; the probe guarantees AVX-512F.
+        unsafe {
+            microkernel_f64_avx512_x4(
+                kb,
+                [as_f64(pa[0]), as_f64(pa[1]), as_f64(pa[2]), as_f64(pa[3])],
+                as_f64(pb),
+                [as_f64_tile(acc0), as_f64_tile(acc1), as_f64_tile(acc2), as_f64_tile(acc3)],
+            );
+        }
+        return;
+    }
+    microkernel_x2(kb, pa[0], pa[1], pb, acc0, acc1);
+    microkernel_x2(kb, pa[2], pa[3], pb, acc2, acc3);
 }
 
 #[cfg(test)]
@@ -392,6 +476,37 @@ mod tests {
                 for r in 0..MR {
                     assert_eq!(a0[cc][r].to_bits(), b0[cc][r].to_bits(), "kb={kb} ({r},{cc})");
                     assert_eq!(a1[cc][r].to_bits(), b1[cc][r].to_bits(), "kb={kb} ({r},{cc})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quad_dispatch_matches_two_paired_calls() {
+        // The four-panel kernel runs the same ascending-kk fma chain per
+        // element as the paired one, so the 32 x 6 tile equals two
+        // 16 x 6 tiles bit for bit.
+        for kb in [0usize, 1, 3, 9, 24] {
+            let (_, pb) = panels(kb);
+            let pa: Vec<Vec<f64>> =
+                (0..4).map(|p| (0..kb * MR).map(|i| ((i + 5 * p) as f64 * 0.29).sin()).collect()).collect();
+            let init = || [0.5, -1.5, 2.0, 3.0].map(|v| [[v; MR]; NR]);
+            let mut want = init();
+            let [w0, w1, w2, w3] = &mut want;
+            microkernel_x2(kb, &pa[0], &pa[1], &pb, w0, w1);
+            microkernel_x2(kb, &pa[2], &pa[3], &pb, w2, w3);
+            let mut got = init();
+            let [g0, g1, g2, g3] = &mut got;
+            microkernel_x4(kb, [&pa[0], &pa[1], &pa[2], &pa[3]], &pb, [g0, g1, g2, g3]);
+            for p in 0..4 {
+                for cc in 0..NR {
+                    for r in 0..MR {
+                        assert_eq!(
+                            want[p][cc][r].to_bits(),
+                            got[p][cc][r].to_bits(),
+                            "kb={kb} panel {p} ({r},{cc})"
+                        );
+                    }
                 }
             }
         }

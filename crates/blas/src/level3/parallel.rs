@@ -64,14 +64,21 @@ pub(crate) fn balanced_quanta(quanta: usize, ways: usize) -> Vec<usize> {
 /// parallel gain; run the serial kernel instead. (≈ a 64³ product.)
 const MIN_PARALLEL_FLOPS: usize = 64 * 64 * 64;
 
-/// Workers a pool-parallel nest over an `m x k x n` product should
-/// split across: the pool size, or 1 when the product is too small to
-/// repay the spawn cost. Shared with `gemm_fused_level`.
+/// Ways a pool-parallel nest over an `m x k x n` product should split:
+/// the pool's workers plus the calling thread when it is not already
+/// running pool work, or 1 when the product is too small to repay the
+/// spawn cost. Shared with `gemm_fused_level`.
+///
+/// A top-level caller helps with the tasks it spawns while it waits in
+/// `pool::scope`, so it is one more compute thread. A caller inside a
+/// task (a DAG product node, a column group) is already one of the
+/// pool's threads; counting it there too would give every nested leaf
+/// one group more than the pool can run.
 pub(crate) fn parallel_ways(m: usize, k: usize, n: usize) -> usize {
     if m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
         1
     } else {
-        pool::current_num_threads().max(1)
+        pool::current_num_threads().max(1) + usize::from(!pool::in_task())
     }
 }
 

@@ -169,6 +169,19 @@ mod tests {
         }
     }
 
+    /// The benchmark records `(mc, kc, nc)` in every result's machine
+    /// profile, and its `compare` refuses two result sets whose profiles
+    /// differ. A tile change that moved the blocking on this cache profile
+    /// (48 KiB L1d, 2 MiB L2, 300 MiB L3, an AVX-512 Xeon) would therefore
+    /// make every before-and-after comparison impossible, so the
+    /// derivation is pinned. (A 16 x 12 tile, `NR = 12`, would give
+    /// `kc = 256` and `mc = 512` here.)
+    #[test]
+    fn xeon_cache_profile_blocking_is_pinned() {
+        let xeon = CacheInfo { l1d: 48 * 1024, l2: 2 * 1024 * 1024, l3: 300 * 1024 * 1024 };
+        assert_eq!(BlockingParams::for_cache(&xeon, 8), BlockingParams { mc: 256, kc: 512, nc: 4092 });
+    }
+
     #[test]
     fn auto_is_deterministic() {
         assert_eq!(BlockingParams::auto_f64(), BlockingParams::auto_f64());

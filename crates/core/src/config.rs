@@ -191,13 +191,15 @@ impl StrassenConfig {
     /// the Strassen level leaves idle. The last level runs fused, its
     /// column loop split across the pool.
     ///
-    /// It carries its own eq.-(15) parameters, `Hybrid { τ = 256,
-    /// τm = τk = τn = 128 }`, measured for the leaf kernel it actually
-    /// runs (EXPERIMENTS.md, Table 2 section): three levels at n = 2048,
-    /// the last of them fused, so the leaf products are 256³. The serial
+    /// It carries its own eq.-(15) parameters, `Hybrid { τ = 1024,
+    /// τm = τk = τn = 512 }`, measured for the leaf kernel it actually
+    /// runs, the 32 x 6 AVX-512 tile (EXPERIMENTS.md, Table 2 section):
+    /// one level at n = 2048, fused and split over every compute thread,
+    /// so the leaf products are 1024³; the task DAG starts at n = 4096.
+    /// Below the cutoff the call is one pool-parallel GEMM. The serial
     /// default's τ = 64 placeholder would recurse five levels to 64³
-    /// leaves, where the blocked kernel runs at about 60% of its peak
-    /// and the add passes cost more than the multiplies they save.
+    /// leaves, where the blocked kernel runs well below its peak and the
+    /// add passes cost more than the multiplies they save.
     ///
     /// Pool sizing is orthogonal: call [`pool::set_num_threads`] (or set
     /// `STRASSEN_THREADS`) before first use; the default is the probed
@@ -205,7 +207,7 @@ impl StrassenConfig {
     pub fn dgefmm_parallel() -> Self {
         Self {
             scheme: Scheme::SevenTemp,
-            cutoff: CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 },
+            cutoff: CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 },
             parallel_depth: 2,
             gemm: GemmConfig::auto_parallel(),
             ..Self::dgefmm()
@@ -368,8 +370,8 @@ mod tests {
         assert_eq!(c.scheme, Scheme::SevenTemp);
         assert_eq!(c.parallel_depth, 2);
         assert_eq!(c.parallel_width, usize::MAX);
-        assert_eq!(c.cutoff, CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 });
-        assert_eq!(crate::planned_depth(&c, 2048, 2048, 2048), 3);
+        assert_eq!(c.cutoff, CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 });
+        assert_eq!(crate::planned_depth(&c, 2048, 2048, 2048), 1);
         let c = c.parallel_width(0).parallel_depth(1);
         assert_eq!(c.parallel_width, 1, "width clamps to >= 1");
         assert_eq!(c.parallel_depth, 1);

@@ -25,7 +25,8 @@
 //!   spawned tasks it executes queued tasks itself. This keeps a
 //!   single-threaded pool deadlock-free under nested scopes (DAG product
 //!   nodes recurse into deeper DAGs) and means the caller is never idle
-//!   while work is queued.
+//!   while work is queued. [`in_task`] tells a caller whether it is such
+//!   a free thread or is already running pool work.
 //! - Thread count is config-driven: [`set_num_threads`] before first
 //!   use, else the `STRASSEN_THREADS` environment variable (legacy alias
 //!   `STRASSEN_NUM_THREADS`), else [`machine_threads`] — the number of
@@ -55,6 +56,7 @@ pub mod dag;
 pub mod ring;
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -190,6 +192,47 @@ impl Pool {
     }
 }
 
+thread_local! {
+    /// Set while this thread runs a pool job: a worker's job, or one a
+    /// helping scope owner popped in `wait_all`.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is running pool work right now: a task
+/// spawned on a [`scope`] (a DAG node included), run by a worker or by a
+/// helping scope owner.
+///
+/// A caller outside pool work is a free thread: while it waits in
+/// [`scope`] it helps with the queued tasks, so a parallel split that
+/// starts here can count it as one more way. Inside a task the caller's
+/// time already belongs to the pool, and counting it again would
+/// over-split (blas' `parallel_ways` applies this rule).
+///
+/// ```
+/// assert!(!pool::in_task());
+/// pool::scope(|s| s.spawn(|| assert!(pool::in_task())));
+/// assert!(!pool::in_task());
+/// ```
+pub fn in_task() -> bool {
+    IN_TASK.with(Cell::get)
+}
+
+/// Marks this thread as running pool work until dropped, then restores
+/// the previous mark, on unwind too.
+struct TaskMark(bool);
+
+impl TaskMark {
+    fn enter() -> TaskMark {
+        TaskMark(IN_TASK.with(|t| t.replace(true)))
+    }
+}
+
+impl Drop for TaskMark {
+    fn drop(&mut self) {
+        IN_TASK.with(|t| t.set(self.0));
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     ring::set_worker_lane(me);
     loop {
@@ -200,7 +243,9 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
                 // catches user panics; a panic reaching here would be a
                 // pool bug, and even then the worker must survive.
                 let start = std::time::Instant::now();
+                let mark = TaskMark::enter();
                 let _ = catch_unwind(AssertUnwindSafe(job));
+                drop(mark);
                 shared.busy_ns[me].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             None => {
@@ -628,6 +673,7 @@ impl<'scope> Scope<'scope> {
         let shared = &global().shared;
         while self.state.pending.load(Ordering::Acquire) > 0 {
             if let Some(job) = shared.pop(usize::MAX) {
+                let _mark = TaskMark::enter();
                 job();
                 continue;
             }
@@ -819,6 +865,57 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn in_task_marks_pool_work_only() {
+        init();
+        assert!(!in_task(), "a plain thread runs no pool work");
+        let flags = Mutex::new(Vec::new());
+        let record = || flags.lock().unwrap().push(in_task());
+        scope(|s| s.spawn(record));
+        let mut dag = dag::DagBuilder::new();
+        let root = dag.node(None, &[], record);
+        dag.node(None, &[root], record);
+        dag.run(usize::MAX);
+        assert_eq!(flags.into_inner().unwrap(), [true; 3], "scope task, DAG root, DAG successor");
+
+        // A helper pop: the scope owner runs one of the queued tasks
+        // itself. One task more than there are workers, each holding its
+        // thread until the owner has run one: a thread holds at most one
+        // of them, so at least one stays queued for the owner to pop.
+        let me = std::thread::current().id();
+        let owner_ran = std::sync::atomic::AtomicBool::new(false);
+        let on_owner = Mutex::new(Vec::new());
+        scope(|s| {
+            for _ in 0..=current_num_threads() {
+                s.spawn(|| {
+                    if std::thread::current().id() == me {
+                        on_owner.lock().unwrap().push(in_task());
+                        owner_ran.store(true, Ordering::Release);
+                    }
+                    while !owner_ran.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        let helped = on_owner.into_inner().unwrap();
+        assert!(!helped.is_empty() && helped.iter().all(|&t| t), "a helper pop runs marked: {helped:?}");
+        assert!(!in_task(), "the mark is cleared after helping");
+
+        // A panicking task leaves no mark behind, whether the scope's
+        // catch or the drop guard's unwind path clears it.
+        let result = catch_unwind(AssertUnwindSafe(|| scope(|s| s.spawn(|| panic!("boom in task")))));
+        assert!(result.is_err());
+        assert!(!in_task());
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let _mark = TaskMark::enter();
+            assert!(in_task());
+            panic!("boom under the mark");
+        }));
+        assert!(result.is_err());
+        assert!(!in_task(), "the drop guard clears the mark on unwind");
     }
 
     #[test]

@@ -260,15 +260,15 @@ fn seven_temp_serial_vs_parallel_bitwise_identical() {
 /// the serial 5-loop GEMM select the same kernels at every node
 /// (including the fused last level, which the parallel leaf kernel runs
 /// with its column loop split across the pool) and agree bitwise. Covers
-/// n = 1024 at β = 0 (two task-DAG levels above a fused level) and an
-/// odd rectangular shape at β = 0.5 (peel, then a fused level at the
-/// root).
+/// n = 1088 at β = 0 (one fused level at the root, just above the
+/// preset's τ = 1024) and an odd shape at β = 0.5 (peel, then a fused
+/// level at the root).
 #[test]
 fn parallel_preset_equals_its_serial_twin_bitwise() {
     let _ = pinned_workers();
     let cfg = StrassenConfig::dgefmm_parallel();
     let twin = cfg.parallel_depth(0).gemm(GemmConfig::auto());
-    for &(m, k, n, beta) in &[(1024usize, 1024usize, 1024usize, 0.0), (515, 389, 453, 0.5)] {
+    for &(m, k, n, beta) in &[(1088usize, 1088usize, 1088usize, 0.0), (1155, 1029, 1091, 0.5)] {
         let a = random::uniform::<f64>(m, k, 0x7A1);
         let b = random::uniform::<f64>(k, n, 0x7A2);
         let c0 = random::uniform::<f64>(m, n, 0x7A3);
