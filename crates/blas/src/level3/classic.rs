@@ -46,7 +46,7 @@ fn macrokernel_classic<T: Scalar>(
             let rows = MR.min(mb - row0);
             let pa = &packed_a[qm * MR * kb..(qm + 1) * MR * kb];
             let mut acc: AccTile<T> = [[T::ZERO; MR]; NR];
-            microkernel(kb, pa, pb, &mut acc);
+            microkernel(kb, [pa], pb, [&mut acc]);
             // Write-back of the valid part of the tile.
             for (cc, acc_col) in acc.iter().enumerate().take(cols) {
                 let j = jc + col0 + cc;

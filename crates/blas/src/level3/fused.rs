@@ -51,7 +51,7 @@
 //! ```
 
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
-use super::kernel::{microkernel, microkernel_x2, microkernel_x4, AccTile, MR, NR};
+use super::kernel::{microkernel, AccTile, MR, NR};
 use super::packbuf::with_pack_slab;
 use super::parallel::{balanced_quanta, parallel_ways};
 use super::{scale_c, GemmAlgo, GemmConfig};
@@ -277,22 +277,20 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
         };
         let mut qm = 0;
         while qm + 4 <= mpanels {
-            let mut acc: [AccTile<T>; 4] = [[[T::ZERO; MR]; NR]; 4];
-            let [a0, a1, a2, a3] = &mut acc;
-            microkernel_x4(kb, [pa(qm), pa(qm + 1), pa(qm + 2), pa(qm + 3)], pb, [a0, a1, a2, a3]);
+            let mut acc = [[[T::ZERO; MR]; NR]; 4];
+            microkernel(kb, [pa(qm), pa(qm + 1), pa(qm + 2), pa(qm + 3)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
             qm += 4;
         }
         if qm + 2 <= mpanels {
-            let mut acc: [AccTile<T>; 2] = [[[T::ZERO; MR]; NR]; 2];
-            let [a0, a1] = &mut acc;
-            microkernel_x2(kb, pa(qm), pa(qm + 1), pb, a0, a1);
+            let mut acc = [[[T::ZERO; MR]; NR]; 2];
+            microkernel(kb, [pa(qm), pa(qm + 1)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
             qm += 2;
         }
         if qm < mpanels {
-            let mut acc: [AccTile<T>; 1] = [[[T::ZERO; MR]; NR]];
-            microkernel(kb, pa(qm), pb, &mut acc[0]);
+            let mut acc = [[[T::ZERO; MR]; NR]];
+            microkernel(kb, [pa(qm)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
         }
     }

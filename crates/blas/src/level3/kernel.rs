@@ -8,11 +8,10 @@
 //! * an `f64`-specialized kernel compiled with AVX2 + FMA codegen
 //!   (`#[target_feature]`) and an explicit `mul_add` unroll; and
 //! * an `f64` AVX-512 kernel holding each 8-row accumulator column in a
-//!   single zmm register, plus *multi-panel* variants that multiply
-//!   adjacent packed-`A` row panels against one packed-`B` panel:
-//!   `microkernel_x2`, a logical `16 x 6` tile in twelve zmm
-//!   accumulators, and `microkernel_x4`, a `32 x 6` tile in 24, which
-//!   the 5-loop macro-kernel runs on all but a block's last few panels.
+//!   single zmm register, over `P` adjacent packed-`A` row panels against
+//!   one packed-`B` panel: a logical `P·8 x 6` tile. The 5-loop
+//!   macro-kernel runs `P = 4` (a `32 x 6` tile in 24 zmm accumulators)
+//!   on all but a block's last few panels.
 //!
 //! The tile is `8 x 6` for `f64`: on AVX2 that is twelve 4-lane FMA
 //! accumulators (the BLIS `dgemm` shape for that ISA class); on AVX-512
@@ -96,106 +95,42 @@ unsafe fn microkernel_f64_fma(kb: usize, pa: &[f64], pb: &[f64], acc: &mut AccTi
     }
 }
 
-/// `f64` micro-kernel for AVX-512: each accumulator column is one zmm
-/// register (`MR == 8` doubles), each `kk` step is one contiguous load of
-/// the packed-`A` column, `NR` broadcasts of packed-`B` elements, and
-/// `NR` fused multiply-adds.
+/// `f64` micro-kernel for AVX-512 over `P` adjacent packed-`A` row
+/// panels against one packed-`B` panel, a logical `P·MR x NR` tile. Each
+/// accumulator column is one zmm register (`MR == 8` doubles); each `kk`
+/// step is `P` contiguous loads of packed-`A` columns, `NR` broadcasts of
+/// packed-`B` elements and `P·NR` fused multiply-adds. The macro-kernel
+/// runs `P = 4`, a `32 x 6` tile: 24 accumulators, 4 `A` vectors and 1
+/// broadcast, 29 of the 32 zmm registers, so each broadcast feeds four
+/// FMAs and each packed-`B` panel is swept once per four `A` panels.
+/// `P = 2` and `P = 1` take a block's last panels.
 ///
 /// # Safety
 /// The caller must ensure the running CPU supports AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_f64_avx512(kb: usize, pa: &[f64], pb: &[f64], acc: &mut AccTile<f64>) {
-    use core::arch::x86_64::*;
-    debug_assert!(pa.len() >= kb * MR && pb.len() >= kb * NR);
-    let mut c = [_mm512_setzero_pd(); NR];
-    for (v, col) in c.iter_mut().zip(acc.iter()) {
-        *v = _mm512_loadu_pd(col.as_ptr());
-    }
-    for kk in 0..kb {
-        let a = _mm512_loadu_pd(pa.as_ptr().add(kk * MR));
-        for (cc, v) in c.iter_mut().enumerate() {
-            let bv = _mm512_set1_pd(*pb.get_unchecked(kk * NR + cc));
-            *v = _mm512_fmadd_pd(a, bv, *v);
-        }
-    }
-    for (v, col) in c.iter().zip(acc.iter_mut()) {
-        _mm512_storeu_pd(col.as_mut_ptr(), *v);
-    }
-}
-
-/// Paired-panel AVX-512 kernel: two adjacent packed-`A` row panels
-/// against one packed-`B` panel, a logical `2·MR x NR` tile. Per `kk`
-/// step: two contiguous zmm loads, `NR` broadcasts, `2·NR` fused
-/// multiply-adds across twelve independent accumulator chains — enough to
-/// saturate both FMA pipes without reloading `B`.
-///
-/// # Safety
-/// The caller must ensure the running CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_f64_avx512_x2(
+unsafe fn microkernel_f64_avx512<const P: usize>(
     kb: usize,
-    pa0: &[f64],
-    pa1: &[f64],
+    pa: [&[f64]; P],
     pb: &[f64],
-    acc0: &mut AccTile<f64>,
-    acc1: &mut AccTile<f64>,
+    acc: [&mut AccTile<f64>; P],
 ) {
     use core::arch::x86_64::*;
-    debug_assert!(pa0.len() >= kb * MR && pa1.len() >= kb * MR && pb.len() >= kb * NR);
-    let mut c0 = [_mm512_setzero_pd(); NR];
-    let mut c1 = [_mm512_setzero_pd(); NR];
-    for cc in 0..NR {
-        c0[cc] = _mm512_loadu_pd(acc0[cc].as_ptr());
-        c1[cc] = _mm512_loadu_pd(acc1[cc].as_ptr());
-    }
-    for kk in 0..kb {
-        let a0 = _mm512_loadu_pd(pa0.as_ptr().add(kk * MR));
-        let a1 = _mm512_loadu_pd(pa1.as_ptr().add(kk * MR));
-        for cc in 0..NR {
-            let bv = _mm512_set1_pd(*pb.get_unchecked(kk * NR + cc));
-            c0[cc] = _mm512_fmadd_pd(a0, bv, c0[cc]);
-            c1[cc] = _mm512_fmadd_pd(a1, bv, c1[cc]);
-        }
-    }
-    for cc in 0..NR {
-        _mm512_storeu_pd(acc0[cc].as_mut_ptr(), c0[cc]);
-        _mm512_storeu_pd(acc1[cc].as_mut_ptr(), c1[cc]);
-    }
-}
-
-/// Four-panel AVX-512 kernel: four adjacent packed-`A` row panels against
-/// one packed-`B` panel, a logical `4·MR x NR = 32 x 6` tile. Register
-/// budget: 24 accumulators, 4 `A` vectors and 1 broadcast, 29 of the 32
-/// zmm registers. Per `kk` step: four contiguous loads, `NR` broadcasts
-/// and `4·NR` fused multiply-adds: twice the FMAs per broadcast `B`
-/// element of the paired kernel, and each packed-`B` panel is swept
-/// half as often.
-///
-/// # Safety
-/// The caller must ensure the running CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_f64_avx512_x4(kb: usize, pa: [&[f64]; 4], pb: &[f64], acc: [&mut AccTile<f64>; 4]) {
-    use core::arch::x86_64::*;
     debug_assert!(pa.iter().all(|p| p.len() >= kb * MR) && pb.len() >= kb * NR);
-    let mut c = [[_mm512_setzero_pd(); NR]; 4];
+    let mut c = [[_mm512_setzero_pd(); NR]; P];
     for (cp, tile) in c.iter_mut().zip(acc.iter()) {
         for (v, col) in cp.iter_mut().zip(tile.iter()) {
             *v = _mm512_loadu_pd(col.as_ptr());
         }
     }
     for kk in 0..kb {
-        let a = [
-            _mm512_loadu_pd(pa[0].as_ptr().add(kk * MR)),
-            _mm512_loadu_pd(pa[1].as_ptr().add(kk * MR)),
-            _mm512_loadu_pd(pa[2].as_ptr().add(kk * MR)),
-            _mm512_loadu_pd(pa[3].as_ptr().add(kk * MR)),
-        ];
+        let mut a = [_mm512_setzero_pd(); P];
+        for (v, pa) in a.iter_mut().zip(pa) {
+            *v = _mm512_loadu_pd(pa.as_ptr().add(kk * MR));
+        }
         for cc in 0..NR {
             let bv = _mm512_set1_pd(*pb.get_unchecked(kk * NR + cc));
-            for p in 0..4 {
+            for p in 0..P {
                 c[p][cc] = _mm512_fmadd_pd(a[p], bv, c[p][cc]);
             }
         }
@@ -278,82 +213,42 @@ unsafe fn as_f64_tile<T: Scalar>(acc: &mut AccTile<T>) -> &mut AccTile<f64> {
     &mut *(acc as *mut AccTile<T>).cast::<AccTile<f64>>()
 }
 
-/// `acc += pa_panel * pb_panel` over depth `kb`, dispatching to the
-/// `f64` AVX-512 or FMA specialization when the element type and CPU
-/// allow it.
+/// `acc[p] += pa[p] * pb` over depth `kb` for `P` adjacent packed-`A`
+/// row panels, in one pass over the packed-`B` panel. On AVX-512 `f64`
+/// this runs the fused `P·MR x NR` kernel; on the FMA and generic classes
+/// it is `P` one-panel kernels, so results never depend on `P` or on
+/// which path ran.
 #[inline(always)]
-pub(crate) fn microkernel<T: Scalar>(kb: usize, pa: &[T], pb: &[T], acc: &mut AccTile<T>) {
+pub(crate) fn microkernel<T: Scalar, const P: usize>(
+    kb: usize,
+    pa: [&[T]; P],
+    pb: &[T],
+    acc: [&mut AccTile<T>; P],
+) {
     #[cfg(target_arch = "x86_64")]
     if is_f64::<T>() {
         // SAFETY: T is exactly f64 (TypeId match on a 'static type), so the
         // slice and tile reinterpretations are identity casts; the CPU
         // probe guarantees the target features.
         unsafe {
-            let (pa, pb, acc) = (as_f64(pa), as_f64(pb), as_f64_tile(acc));
+            let pb = as_f64(pb);
             match kernel_class() {
-                KernelClass::Avx512 => return microkernel_f64_avx512(kb, pa, pb, acc),
-                KernelClass::Fma => return microkernel_f64_fma(kb, pa, pb, acc),
+                KernelClass::Avx512 => {
+                    return microkernel_f64_avx512(kb, pa.map(|p| as_f64(p)), pb, acc.map(|t| as_f64_tile(t)))
+                }
+                KernelClass::Fma => {
+                    for (pa, acc) in pa.into_iter().zip(acc) {
+                        microkernel_f64_fma(kb, as_f64(pa), pb, as_f64_tile(acc));
+                    }
+                    return;
+                }
                 KernelClass::Generic => {}
             }
         }
     }
-    microkernel_generic(kb, pa, pb, acc)
-}
-
-/// Paired-panel form: `acc0 += pa0 * pb` and `acc1 += pa1 * pb` in one
-/// pass over the packed-`B` panel. On AVX-512 `f64` this runs the fused
-/// `16 x 6` kernel; elsewhere it is exactly two [`microkernel`] calls, so
-/// results never depend on which path ran.
-#[inline(always)]
-pub(crate) fn microkernel_x2<T: Scalar>(
-    kb: usize,
-    pa0: &[T],
-    pa1: &[T],
-    pb: &[T],
-    acc0: &mut AccTile<T>,
-    acc1: &mut AccTile<T>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if is_f64::<T>() && kernel_class() == KernelClass::Avx512 {
-        // SAFETY: T is exactly f64; the probe guarantees AVX-512F.
-        unsafe {
-            microkernel_f64_avx512_x2(
-                kb,
-                as_f64(pa0),
-                as_f64(pa1),
-                as_f64(pb),
-                as_f64_tile(acc0),
-                as_f64_tile(acc1),
-            );
-        }
-        return;
+    for (pa, acc) in pa.into_iter().zip(acc) {
+        microkernel_generic(kb, pa, pb, acc);
     }
-    microkernel(kb, pa0, pb, acc0);
-    microkernel(kb, pa1, pb, acc1);
-}
-
-/// Four-panel form: `acc[p] += pa[p] * pb` for `p = 0..4` in one pass
-/// over the packed-`B` panel. On AVX-512 `f64` this runs the fused
-/// `32 x 6` kernel; elsewhere it is exactly two [`microkernel_x2`]
-/// calls, so results never depend on which path ran.
-#[inline(always)]
-pub(crate) fn microkernel_x4<T: Scalar>(kb: usize, pa: [&[T]; 4], pb: &[T], acc: [&mut AccTile<T>; 4]) {
-    let [acc0, acc1, acc2, acc3] = acc;
-    #[cfg(target_arch = "x86_64")]
-    if is_f64::<T>() && kernel_class() == KernelClass::Avx512 {
-        // SAFETY: T is exactly f64; the probe guarantees AVX-512F.
-        unsafe {
-            microkernel_f64_avx512_x4(
-                kb,
-                [as_f64(pa[0]), as_f64(pa[1]), as_f64(pa[2]), as_f64(pa[3])],
-                as_f64(pb),
-                [as_f64_tile(acc0), as_f64_tile(acc1), as_f64_tile(acc2), as_f64_tile(acc3)],
-            );
-        }
-        return;
-    }
-    microkernel_x2(kb, pa[0], pa[1], pb, acc0, acc1);
-    microkernel_x2(kb, pa[2], pa[3], pb, acc2, acc3);
 }
 
 #[cfg(test)]
@@ -427,7 +322,7 @@ mod tests {
     #[test]
     fn avx512_kernels_match_fma_kernel_bitwise() {
         // All hardware kernels fuse the same multiply-add sequence in the
-        // same order, so the AVX-512 single and paired variants must equal
+        // same order, so the AVX-512 kernel on one panel or two must equal
         // the FMA kernel bit for bit.
         if !std::is_x86_feature_detected!("avx512f") {
             return; // nothing to compare on this CPU
@@ -445,11 +340,11 @@ mod tests {
 
             let mut s0 = [[0.5; MR]; NR];
             // SAFETY: feature detection checked above.
-            unsafe { microkernel_f64_avx512(kb, &pa0, &pb, &mut s0) };
+            unsafe { microkernel_f64_avx512(kb, [&pa0[..]], &pb, [&mut s0]) };
             let mut p0 = [[0.5; MR]; NR];
             let mut p1 = [[-0.5; MR]; NR];
             // SAFETY: feature detection checked above.
-            unsafe { microkernel_f64_avx512_x2(kb, &pa0, &pa1, &pb, &mut p0, &mut p1) };
+            unsafe { microkernel_f64_avx512(kb, [&pa0[..], &pa1], &pb, [&mut p0, &mut p1]) };
             for cc in 0..NR {
                 for r in 0..MR {
                     assert_eq!(f0[cc][r].to_bits(), s0[cc][r].to_bits(), "single kb={kb} ({r},{cc})");
@@ -467,11 +362,11 @@ mod tests {
             let pa1: Vec<f64> = (0..kb * MR).map(|i| (i as f64 * 0.11).sin()).collect();
             let mut a0 = [[2.0; MR]; NR];
             let mut a1 = [[3.0; MR]; NR];
-            microkernel(kb, &pa0, &pb, &mut a0);
-            microkernel(kb, &pa1, &pb, &mut a1);
+            microkernel(kb, [&pa0[..]], &pb, [&mut a0]);
+            microkernel(kb, [&pa1[..]], &pb, [&mut a1]);
             let mut b0 = [[2.0; MR]; NR];
             let mut b1 = [[3.0; MR]; NR];
-            microkernel_x2(kb, &pa0, &pa1, &pb, &mut b0, &mut b1);
+            microkernel(kb, [&pa0[..], &pa1], &pb, [&mut b0, &mut b1]);
             for cc in 0..NR {
                 for r in 0..MR {
                     assert_eq!(a0[cc][r].to_bits(), b0[cc][r].to_bits(), "kb={kb} ({r},{cc})");
@@ -492,12 +387,11 @@ mod tests {
                 (0..4).map(|p| (0..kb * MR).map(|i| ((i + 5 * p) as f64 * 0.29).sin()).collect()).collect();
             let init = || [0.5, -1.5, 2.0, 3.0].map(|v| [[v; MR]; NR]);
             let mut want = init();
-            let [w0, w1, w2, w3] = &mut want;
-            microkernel_x2(kb, &pa[0], &pa[1], &pb, w0, w1);
-            microkernel_x2(kb, &pa[2], &pa[3], &pb, w2, w3);
+            let [w0, w1, w2, w3] = want.each_mut();
+            microkernel(kb, [&pa[0][..], &pa[1]], &pb, [w0, w1]);
+            microkernel(kb, [&pa[2][..], &pa[3]], &pb, [w2, w3]);
             let mut got = init();
-            let [g0, g1, g2, g3] = &mut got;
-            microkernel_x4(kb, [&pa[0], &pa[1], &pa[2], &pa[3]], &pb, [g0, g1, g2, g3]);
+            microkernel(kb, [&pa[0][..], &pa[1], &pa[2], &pa[3]], &pb, got.each_mut());
             for p in 0..4 {
                 for cc in 0..NR {
                     for r in 0..MR {
@@ -521,14 +415,14 @@ mod tests {
     fn dispatcher_runs_for_f32_and_f64() {
         let (pa, pb) = panels(4);
         let mut acc = [[0.0f64; MR]; NR];
-        microkernel(4, &pa, &pb, &mut acc);
+        microkernel(4, [&pa[..]], &pb, [&mut acc]);
         let expect = reference_tile(4, &pa, &pb);
         assert!((acc[0][0] - expect[0][0]).abs() < 1e-12);
 
         let pa32: Vec<f32> = pa.iter().map(|&x| x as f32).collect();
         let pb32: Vec<f32> = pb.iter().map(|&x| x as f32).collect();
         let mut acc32 = [[0.0f32; MR]; NR];
-        microkernel(4, &pa32, &pb32, &mut acc32);
+        microkernel(4, [&pa32[..]], &pb32, [&mut acc32]);
         assert!((acc32[0][0] as f64 - expect[0][0]).abs() < 1e-5);
     }
 }

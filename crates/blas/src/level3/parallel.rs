@@ -45,6 +45,7 @@ use super::packbuf::with_pack_slab;
 use super::{check_gemm_dims, scale_c, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
+use std::sync::OnceLock;
 
 /// Split `quanta` indivisible work units over at most `ways` partitions:
 /// returns per-partition quanta counts, all ≥ 1, differing by ≤ 1.
@@ -65,21 +66,32 @@ pub(crate) fn balanced_quanta(quanta: usize, ways: usize) -> Vec<usize> {
 const MIN_PARALLEL_FLOPS: usize = 64 * 64 * 64;
 
 /// Ways a pool-parallel nest over an `m x k x n` product should split:
-/// the pool's workers plus the calling thread when it is not already
-/// running pool work, or 1 when the product is too small to repay the
-/// spawn cost. Shared with `gemm_fused_level`.
+/// the pool's workers, plus the calling thread when it is not already
+/// running pool work and the workers leave a CPU free for it, or 1 when
+/// the product is too small to repay the spawn cost. Shared with
+/// `gemm_fused_level`.
 ///
 /// A top-level caller helps with the tasks it spawns while it waits in
 /// `pool::scope`, so it is one more compute thread. A caller inside a
 /// task (a DAG product node, a column group) is already one of the
 /// pool's threads; counting it there too would give every nested leaf
-/// one group more than the pool can run.
+/// one group more than the pool can run. When the workers already cover
+/// every CPU (the default pool on a host without SMT), a group for the
+/// caller would time-slice with the workers' groups: on a 2-CPU host with
+/// 2 workers that cost a top-level 1024³ `gemm_parallel` about 13%.
 pub(crate) fn parallel_ways(m: usize, k: usize, n: usize) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
     if m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
-        1
-    } else {
-        pool::current_num_threads().max(1) + usize::from(!pool::in_task())
+        return 1;
     }
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    split_ways(pool::current_num_threads(), cpus, pool::in_task())
+}
+
+/// [`parallel_ways`]' rule for a product large enough to split.
+fn split_ways(workers: usize, cpus: usize, in_task: bool) -> usize {
+    let workers = workers.max(1);
+    workers + usize::from(!in_task && workers < cpus)
 }
 
 /// `C ← α op(A) op(B) + β C`, jc×ic loops processed in parallel.
@@ -241,6 +253,26 @@ mod tests {
             }
         }
         assert!(balanced_quanta(0, 4).is_empty());
+    }
+
+    #[test]
+    fn caller_is_counted_only_when_free_and_a_cpu_is_left() {
+        // (workers, cpus, in_task) -> ways
+        for (workers, cpus, in_task, ways) in [
+            (1, 2, false, 2), // the benchmark's pin: 1 worker + the caller
+            (1, 2, true, 1),  // inside a DAG node the caller is the worker
+            (2, 2, false, 2), // workers cover every CPU: no extra group
+            (1, 1, false, 1),
+            (3, 8, false, 4),
+            (3, 8, true, 3),
+            (0, 4, false, 2), // an empty count still means one worker
+        ] {
+            assert_eq!(
+                split_ways(workers, cpus, in_task),
+                ways,
+                "{workers} workers, {cpus} CPUs, in task {in_task}"
+            );
+        }
     }
 
     #[test]

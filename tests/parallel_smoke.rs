@@ -10,6 +10,7 @@
 use blas::level3::{gemm, GemmConfig};
 use blas::Op;
 use matrix::{norms, random, Matrix};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use strassen::{dgefmm, CutoffCriterion, Scheme, StrassenConfig};
 
 /// Pin the pool's worker count before its first use and return the
@@ -31,9 +32,22 @@ fn pinned_workers() -> usize {
     pool::current_num_threads()
 }
 
+/// Held by the two fan-out tests and by the serial-twin test. The twin's
+/// top-level fused levels split into one column group per worker (the
+/// caller is not counted when the workers cover every CPU), and a group
+/// holds its worker long enough that a fan-out test running beside it can
+/// see only one worker take jobs. Poison-tolerant, so one failing test
+/// does not fail the others.
+static FAN_OUT: Mutex<()> = Mutex::new(());
+
+fn fan_out_lock() -> MutexGuard<'static, ()> {
+    FAN_OUT.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn seven_temp_dispatches_across_workers_at_1024() {
     let workers = pinned_workers();
+    let _alone = fan_out_lock();
 
     let n = 1024;
     let a = random::uniform::<f64>(n, n, 41);
@@ -79,6 +93,7 @@ fn seven_temp_dispatches_across_workers_at_1024() {
 #[test]
 fn pool_stats_invariants_at_1024() {
     let workers = pinned_workers();
+    let _alone = fan_out_lock();
     if workers < 2 {
         // Helper-only execution: the scope owner may pop every task
         // inline, so none of the worker-side telemetry is guaranteed.
@@ -259,16 +274,27 @@ fn seven_temp_serial_vs_parallel_bitwise_identical() {
 /// `dgefmm_parallel()` and `dgefmm_parallel().parallel_depth(0)` with
 /// the serial 5-loop GEMM select the same kernels at every node
 /// (including the fused last level, which the parallel leaf kernel runs
-/// with its column loop split across the pool) and agree bitwise. Covers
-/// n = 1088 at β = 0 (one fused level at the root, just above the
-/// preset's τ = 1024) and an odd shape at β = 0.5 (peel, then a fused
+/// with its column loop split across the pool) and agree bitwise. Under
+/// the preset's own τ = 1024 it covers n = 1088 at β = 0 and an odd
+/// shape at β = 0.5 (peel), both one fused level at the root, where the
+/// split counts the helping caller. At τ = 256 it covers n = 1024 at
+/// β = 0, a task-DAG level over seven fused levels that split over the
+/// workers only, and 515 x 389 x 453 at β = 0.5 (peel, then a fused
 /// level at the root).
 #[test]
 fn parallel_preset_equals_its_serial_twin_bitwise() {
     let _ = pinned_workers();
-    let cfg = StrassenConfig::dgefmm_parallel();
-    let twin = cfg.parallel_depth(0).gemm(GemmConfig::auto());
-    for &(m, k, n, beta) in &[(1088usize, 1088usize, 1088usize, 0.0), (1155, 1029, 1091, 0.5)] {
+    let _alone = fan_out_lock();
+    let preset = StrassenConfig::dgefmm_parallel();
+    let tau256 = preset.cutoff(CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 });
+    let cases = [
+        (preset, (1088usize, 1088usize, 1088usize, 0.0)),
+        (preset, (1155, 1029, 1091, 0.5)),
+        (tau256, (1024, 1024, 1024, 0.0)),
+        (tau256, (515, 389, 453, 0.5)),
+    ];
+    for (cfg, (m, k, n, beta)) in cases {
+        let twin = cfg.parallel_depth(0).gemm(GemmConfig::auto());
         let a = random::uniform::<f64>(m, k, 0x7A1);
         let b = random::uniform::<f64>(k, n, 0x7A2);
         let c0 = random::uniform::<f64>(m, n, 0x7A3);
@@ -278,7 +304,8 @@ fn parallel_preset_equals_its_serial_twin_bitwise() {
         dgefmm(&twin, 0.75, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), beta, want.as_mut());
         assert!(
             got.as_slice() == want.as_slice(),
-            "{m}x{k}x{n} β={beta}: dgefmm_parallel differs from its serial twin (max {} ulps)",
+            "{m}x{k}x{n} β={beta} {:?}: dgefmm_parallel differs from its serial twin (max {} ulps)",
+            cfg.cutoff,
             testkit::max_ulp_diff_mat(got.as_ref(), want.as_ref())
         );
     }

@@ -223,18 +223,33 @@ fn high_water_auto_rectangular() {
 /// The library presets, whose last level runs fused: the arena draws
 /// nothing for a fused level, and `required_workspace` reserves nothing
 /// for it, so high-water equals the requirement exactly for both β
-/// classes — on an even cube, a shape below the cutoff, and an odd shape
-/// whose peeled core takes the fused path.
+/// classes. `dgefmm` runs an even cube, a shape below the cutoff, and an
+/// odd shape whose peeled core takes the fused path. The parallel
+/// preset's τ = 1024 puts one fused level at the root of an even and an
+/// odd shape just above τ; at its old τ = 256 an even cube runs a
+/// task-DAG level over seven fused ones (a nonzero arena) and an odd
+/// shape peels into a fused root.
 #[test]
 fn high_water_fused_presets() {
-    for (label, cfg) in
-        [("dgefmm", StrassenConfig::dgefmm()), ("dgefmm_parallel", StrassenConfig::dgefmm_parallel())]
-    {
-        for &(m, k, n) in &[(96usize, 160usize, 64usize), (512, 512, 512), (257, 129, 193)] {
+    let tau256 = CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 };
+    let small = [(96, 160, 64), (512, 512, 512), (257, 129, 193)];
+    let above_tau = [(1088, 1088, 1088), (1155, 1029, 1091)];
+    let dag_over_fused = [(1024, 1024, 1024), (515, 389, 453)];
+    let cases = [
+        ("dgefmm", StrassenConfig::dgefmm(), &small[..]),
+        ("dgefmm_parallel", StrassenConfig::dgefmm_parallel(), &above_tau[..]),
+        ("dgefmm_parallel at τ = 256", StrassenConfig::dgefmm_parallel().cutoff(tau256), &dag_over_fused[..]),
+    ];
+    for (label, cfg, shapes) in cases {
+        for &(m, k, n) in shapes {
             for (beta, beta_zero) in [(0.0, true), (1.0, false)] {
                 let tr = traced_run(&cfg, m, k, n, beta);
                 let need = required_workspace(&cfg, m, k, n, beta_zero);
                 assert_eq!(tr.ws_high_water, need, "{label} {m}x{k}x{n} beta={beta}");
+                // The root is a task-DAG split or a fused level, both
+                // recorded on the calling thread.
+                let recursed = tr.splits() + tr.fused_nodes() > 0;
+                assert!(recursed || label == "dgefmm", "{label} {m}x{k}x{n}: no Strassen level");
             }
         }
     }
