@@ -176,7 +176,7 @@ pub(crate) fn gemm_packed<T: Scalar>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    gemm_level(false, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1);
+    gemm_level(1, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1);
 }
 
 #[cfg(test)]

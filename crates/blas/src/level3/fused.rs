@@ -53,7 +53,7 @@
 use super::blocked::{clamp_blocking, pack_a, pack_b, panel_lens};
 use super::kernel::{microkernel, AccTile, MR, NR};
 use super::packbuf::with_pack_slab;
-use super::parallel::{balanced_quanta, parallel_ways};
+use super::parallel::{balanced_quanta, parallel_ways, thread_grid};
 use super::{scale_c, GemmAlgo, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
@@ -301,10 +301,11 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
 ///
 /// ```text
 /// for jc (nc-wide slices of every C/B block column range)
-///   for pc (kc-deep rank slices)            B-block panels packed once,
-///     for ic (mc-tall slices)               A-block panels packed once,
-///       for each product: combine γ-weighted packed panels, multiply,
-///                         scatter into its δ-weighted C blocks
+///   for pc (kc-deep rank slices)
+///     phase 1: pack every B block a product reads, once
+///     phase 2: for ic (mc-tall slices)      A-block panels packed once,
+///                for each product: combine γ-weighted packed panels,
+///                multiply, scatter into its δ-weighted C blocks
 /// ```
 ///
 /// Every grid block of `A` and `B` is packed **once per cache block** and
@@ -319,10 +320,13 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
 /// overwrites without reading). Blocks no product touches are scaled by
 /// `β` directly.
 ///
-/// `cfg.algo` picks serial or pool-parallel execution: under
-/// [`GemmAlgo::BlockedParallel`] the jc loop splits into balanced
-/// `NR`-quantized column groups, one pool task each, bitwise equal to
-/// the serial nest.
+/// `cfg.algo` picks serial or pool-parallel execution. Under
+/// [`GemmAlgo::BlockedParallel`] the threads pack disjoint panel ranges
+/// of phase 1's shared `B` slots, then split phase 2 over a grid of row
+/// bands and panel ranges of `C`, each task packing its own `A` blocks
+/// (see [`super::gemm_parallel`]). Every element still sees the same
+/// operations in the same order, so the result is bitwise equal to the
+/// serial nest.
 ///
 /// All of `m`, `k`, `n` must be divisible by `g`.
 ///
@@ -354,17 +358,17 @@ pub fn gemm_fused_level<T: Scalar>(
         m % g == 0 && k % g == 0 && n % g == 0,
         "gemm_fused_level: {m}x{k}x{n} not divisible by grid {g}"
     );
-    let parallel = cfg.algo == GemmAlgo::BlockedParallel;
-    gemm_level(parallel, cfg, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c, products, g);
+    let ways = if cfg.algo == GemmAlgo::BlockedParallel { parallel_ways(m / g, k / g, n / g) } else { 1 };
+    gemm_level(ways, cfg, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c, products, g);
 }
 
-/// The nest behind [`gemm_fused_level`] and the packed path of
-/// [`super::gemm_blocked`], on operands `op(A)` and `op(B)` whose shapes
-/// the caller has checked. Only the one-block grid `g = 1` is called
-/// with `Trans`. `parallel` splits the jc loop into pool-task column
-/// groups.
+/// The one packed nest, behind [`gemm_fused_level`], the packed path of
+/// [`super::gemm_blocked`] and [`super::gemm_parallel`], on operands
+/// `op(A)` and `op(B)` whose shapes the caller has checked. Only the
+/// one-block grid `g = 1` is called with `Trans`. The nest splits `ways`
+/// ways; `ways = 1` runs it inline on the calling thread.
 pub(crate) fn gemm_level<T: Scalar>(
-    parallel: bool,
+    ways: usize,
     cfg: &GemmConfig,
     alpha: T,
     op_a: Op,
@@ -376,8 +380,8 @@ pub(crate) fn gemm_level<T: Scalar>(
     products: &[BlockProduct],
     g: usize,
 ) {
-    // The destination views in `fused_columns` are built from raw
-    // pointers, so the table is checked here, whoever the caller is.
+    // The destination views in `grid_task` are built from raw pointers,
+    // so the table is checked here, whoever the caller is.
     let g2 = g * g;
     for p in products {
         for terms in [&p.a, &p.b, &p.c] {
@@ -397,13 +401,18 @@ pub(crate) fn gemm_level<T: Scalar>(
     let n = c.ncols();
     let (bm, bk, bn) = (m / g, k / g, n / g);
 
-    // First product touching each C block — that touch carries β.
+    // First product touching each C block — that touch carries β — and
+    // the B blocks some product reads.
     let mut first_touch = [usize::MAX; MAX_GRID_BLOCKS];
+    let mut b_read = [false; MAX_GRID_BLOCKS];
     for (pi, p) in products.iter().enumerate() {
         for (_, q) in p.c.iter() {
             if first_touch[q as usize] == usize::MAX {
                 first_touch[q as usize] = pi;
             }
+        }
+        for (_, q) in p.b.iter() {
+            b_read[q as usize] = true;
         }
     }
 
@@ -419,6 +428,7 @@ pub(crate) fn gemm_level<T: Scalar>(
         }
     }
 
+    let (mc, kc, nc) = clamp_blocking(cfg, bm, bk, bn);
     let nest = LevelNest {
         alpha,
         beta,
@@ -430,49 +440,30 @@ pub(crate) fn gemm_level<T: Scalar>(
         ldc: c.ld(),
         products,
         first_touch,
+        b_read,
         combine: products.iter().any(|p| p.a.bare().is_none() || p.b.bare().is_none()),
         g,
         block: (bm, bk, bn),
-        blocking: clamp_blocking(cfg, bm, bk, bn),
+        blocking: (mc, kc, nc),
+        lens: panel_lens(mc, kc, nc),
     };
-    // Thread policy of `gemm_parallel`. Column groups re-partition only
-    // the iteration space (same kc chunking, same product order per
-    // element), which is what keeps them bitwise equal to the serial
-    // nest.
-    let ways = if parallel { parallel_ways(bm, bk, bn) } else { 1 };
-    // One group runs inline, before `balanced_quanta` allocates: the
-    // serial path stays allocation-free after warm-up.
-    if ways == 1 || bn <= NR {
-        return fused_columns(&nest, 0, bn);
-    }
-    let groups = balanced_quanta(bn.div_ceil(NR), ways);
-    let nest = &nest;
-    pool::scope(|scope| {
-        let mut j0 = 0;
-        for (group, &quanta) in groups.iter().enumerate() {
-            let w = (quanta * NR).min(bn - j0);
-            let tag = pool::ring::tag::gemm_task(0, group as u8);
-            scope.spawn_tagged(None, tag, move || fused_columns(nest, j0, w));
-            j0 += w;
-        }
-    });
+    run_nest(&nest, ways);
 }
 
-/// `C`'s base pointer, shared by the column-group tasks of a parallel
-/// fused level.
+/// `C`'s base pointer, shared by the phase-2 tasks of a parallel nest.
 #[derive(Clone, Copy)]
 struct CBase<T>(*mut T);
 
-// SAFETY: the one field is a pointer into C. Every task reads and
-// writes only its own column range of each C block (disjoint by
-// construction in `gemm_level`), so no element is touched through two
-// copies of the pointer; `T: Send` because tasks on other threads write
-// the elements.
+// SAFETY: the one field is a pointer into C. Every phase-2 task reads
+// and writes only its own row band and panel range of each C block
+// (disjoint by construction in `run_nest`), so no element is touched
+// through two copies of the pointer; `T: Send` because tasks on other
+// threads write the elements.
 unsafe impl<T: Send> Send for CBase<T> {}
 unsafe impl<T: Send> Sync for CBase<T> {}
 
 /// One fused level's operands, schedule and blocking: everything the
-/// 5-loop nest over a range of block columns needs.
+/// 5-loop nest needs.
 struct LevelNest<'a, T> {
     alpha: T,
     beta: T,
@@ -485,14 +476,28 @@ struct LevelNest<'a, T> {
     products: &'a [BlockProduct],
     /// First product touching each C block — that touch carries β.
     first_touch: [usize; MAX_GRID_BLOCKS],
-    /// Some operand is a sum or a signed block, so the nest needs a
-    /// combination buffer for A and one for B.
+    /// The B blocks some product reads: phase 1 packs these.
+    b_read: [bool; MAX_GRID_BLOCKS],
+    /// Some operand is a sum or a signed block, so every phase-2 task
+    /// needs a combination buffer for A and one for B.
     combine: bool,
     g: usize,
     /// Block dimensions `(m/g, k/g, n/g)`.
     block: (usize, usize, usize),
     /// Problem-clamped `(mc, kc, nc)`.
     blocking: (usize, usize, usize),
+    /// Packed `(A, B)` slot lengths at that blocking.
+    lens: (usize, usize),
+}
+
+/// One `(jc, pc)` step of the nest: the columns `jc..jc + nb` of every
+/// block and the rank slice `pc..pc + kb`.
+#[derive(Clone, Copy)]
+struct Step {
+    jc: usize,
+    nb: usize,
+    pc: usize,
+    kb: usize,
 }
 
 /// Stored view of grid block `q` of `op(X)`, a `rows x cols` block of a
@@ -505,124 +510,184 @@ fn op_block<'a, T>(op: Op, x: MatRef<'a, T>, q: usize, g: usize, rows: usize, co
     }
 }
 
-/// The nest over columns `j0..j0 + w` of every block (the whole level
-/// when `(j0, w) = (0, n/g)`), with pack panels leased from this
-/// thread's buffer.
-fn fused_columns<T: Scalar>(nest: &LevelNest<'_, T>, j0: usize, w: usize) {
-    let &LevelNest { alpha, beta, op_a, a, op_b, b, ldc, products, g, .. } = nest;
+/// Run the nest split `ways` ways. For each `(jc, pc)` step:
+///
+/// - **phase 1** packs every `B` block a product reads into shared slots,
+///   the threads taking disjoint `NR`-panel ranges; then one join;
+/// - **phase 2** splits `C` over an `ic_ways x jr_ways` grid of tasks
+///   ([`thread_grid`]): balanced `MR`-quantized row bands times panel
+///   ranges of the shared packed `B`. Each task packs its own `A` blocks
+///   and combines its own `A` and `B` sums.
+///
+/// The calling thread leases the one pack slab: the shared `B` slots,
+/// then one `A`/combination region per grid task, handed out by
+/// splitting. No task leases anything, and `ways = 1` runs both phases
+/// inline, with no scope and no allocation.
+fn run_nest<T: Scalar>(nest: &LevelNest<'_, T>, ways: usize) {
     let (bm, bk, bn) = nest.block;
-    let (mc, kc, nc) = nest.blocking;
-    let g2 = g * g;
-    let (a_len, b_len) = panel_lens(mc, kc, nc.min(w.next_multiple_of(NR)));
-    let slots = g2 + usize::from(nest.combine);
+    let (_, kc, nc) = nest.blocking;
+    let (a_len, b_len) = nest.lens;
+    let g2 = nest.g * nest.g;
+    let comb = usize::from(nest.combine);
+    let (ic_ways, jr_ways) = thread_grid(bm, ways);
+    let region = (g2 + comb) * a_len + comb * b_len;
 
-    with_pack_slab::<T, _>(slots * (a_len + b_len), |slab| {
-        // Slab layout: one pack slot per grid block plus, when the table
-        // has sums, one combination buffer, for A then B.
-        let (a_region, b_region) = slab.split_at_mut(slots * a_len);
-        let (a_slots, comb_a) = a_region.split_at_mut(g2 * a_len);
-        let (b_slots, comb_b) = b_region.split_at_mut(g2 * b_len);
-
-        for jc in (j0..j0 + w).step_by(nc) {
-            let nb = nc.min(j0 + w - jc);
+    with_pack_slab::<T, _>(g2 * b_len + ic_ways * jr_ways * region, |slab| {
+        let (b_slots, regions) = slab.split_at_mut(g2 * b_len);
+        let row_bands = if ways == 1 { Vec::new() } else { balanced_quanta(bm.div_ceil(MR), ic_ways) };
+        for jc in (0..bn).step_by(nc) {
             for pc in (0..bk).step_by(kc) {
-                let kb = kc.min(bk - pc);
-                // Which block slots hold current data for this cache block.
-                let mut b_valid = [false; MAX_GRID_BLOCKS];
-                let b_used = nb.div_ceil(NR) * NR * kb;
-                for ic in (0..bm).step_by(mc) {
-                    let mb = mc.min(bm - ic);
-                    let mut a_valid = [false; MAX_GRID_BLOCKS];
-                    let a_used = mb.div_ceil(MR) * MR * kb;
-                    for (pi, p) in products.iter().enumerate() {
-                        // Lazily pack the grid blocks this product needs;
-                        // later products reuse them.
-                        for (_, q) in p.a.iter() {
-                            let q = q as usize;
-                            if !a_valid[q] {
-                                let blk = op_block(op_a, a, q, g, bm, bk);
-                                pack_a(
-                                    op_a,
-                                    &blk,
-                                    ic,
-                                    pc,
-                                    mb,
-                                    kb,
-                                    &mut a_slots[q * a_len..q * a_len + a_used],
-                                );
-                                a_valid[q] = true;
-                            }
-                        }
-                        for (_, q) in p.b.iter() {
-                            let q = q as usize;
-                            if !b_valid[q] {
-                                let blk = op_block(op_b, b, q, g, bk, bn);
-                                pack_b(
-                                    op_b,
-                                    &blk,
-                                    pc,
-                                    jc,
-                                    kb,
-                                    nb,
-                                    &mut b_slots[q * b_len..q * b_len + b_used],
-                                );
-                                b_valid[q] = true;
-                            }
-                        }
-                        // Operand sums as combinations of packed panels; a
-                        // bare `+X_q` term borrows the slot directly.
-                        let pa: &[T] = match p.a.bare() {
-                            Some(q) => &a_slots[q * a_len..q * a_len + a_used],
-                            None => {
-                                combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
-                                &comb_a[..a_used]
-                            }
-                        };
-                        let pb: &[T] = match p.b.bare() {
-                            Some(q) => &b_slots[q * b_len..q * b_len + b_used],
-                            None => {
-                                combine_packed(&mut comb_b[..b_used], &p.b, b_slots, b_len);
-                                &comb_b[..b_used]
-                            }
-                        };
-
-                        let dest = |t: usize| {
-                            let (dl, q) = p.c.t[t];
-                            let q = q as usize;
-                            // SAFETY: grid blocks are disjoint, a product
-                            // never lists the same block twice (checked in
-                            // `gemm_level`), column groups own
-                            // disjoint columns, and the parent view `c` is
-                            // dormant while the block views are live.
-                            let view = unsafe {
-                                MatMut::from_raw_parts(
-                                    nest.c.0.add((q / g) * bm + ((q % g) * bn + j0) * ldc),
-                                    bm,
-                                    w,
-                                    ldc,
-                                )
-                            };
-                            let first = pc == 0 && nest.first_touch[q] == pi;
-                            Dest {
-                                c: view,
-                                coeff: alpha * T::from_f64(dl as f64),
-                                beta: first.then_some(beta),
-                            }
-                        };
-                        let run = |dests: &mut [Dest<'_, T>]| {
-                            macrokernel_multi(mb, kb, nb, pa, pb, dests, ic, jc - j0);
-                        };
-                        match p.c.len {
-                            1 => run(&mut [dest(0)]),
-                            2 => run(&mut [dest(0), dest(1)]),
-                            3 => run(&mut [dest(0), dest(1), dest(2)]),
-                            _ => run(&mut [dest(0), dest(1), dest(2), dest(3)]),
-                        }
-                    }
+                let step = Step { jc, nb: nc.min(bn - jc), pc, kb: kc.min(bk - pc) };
+                let (panels, panel_len) = (step.nb.div_ceil(NR), NR * step.kb);
+                // The used part of each B slot, split off in panel ranges.
+                let mut rest: [&mut [T]; MAX_GRID_BLOCKS] = Default::default();
+                for (r, slot) in rest.iter_mut().zip(b_slots.chunks_mut(b_len)) {
+                    *r = &mut slot[..panels * panel_len];
                 }
+                if ways == 1 {
+                    pack_b_panels(nest, step, (0, panels), rest);
+                    grid_task(nest, step, (0, bm), (0, panels), b_slots, regions);
+                    continue;
+                }
+
+                pool::scope(|s| {
+                    let mut p0 = 0;
+                    for (i, &np) in balanced_quanta(panels, ways).iter().enumerate() {
+                        let mut chunks: [&mut [T]; MAX_GRID_BLOCKS] = Default::default();
+                        for (chunk, r) in chunks.iter_mut().zip(&mut rest).take(g2) {
+                            (*chunk, *r) = std::mem::take(r).split_at_mut(np * panel_len);
+                        }
+                        let tag = pool::ring::tag::gemm_task(1, i as u8);
+                        s.spawn_tagged(None, tag, move || pack_b_panels(nest, step, (p0, np), chunks));
+                        p0 += np;
+                    }
+                });
+
+                let b_slots = &*b_slots;
+                pool::scope(|s| {
+                    let mut regions = regions.chunks_mut(region);
+                    let (mut task, mut r0) = (0, 0);
+                    for &band in &row_bands {
+                        let rows = (band * MR).min(bm - r0);
+                        let mut p0 = 0;
+                        for &np in &balanced_quanta(panels, jr_ways) {
+                            let region = regions.next().expect("one slab region per grid task");
+                            let tag = pool::ring::tag::gemm_task(2, task as u8);
+                            s.spawn_tagged(None, tag, move || {
+                                grid_task(nest, step, (r0, rows), (p0, np), b_slots, region)
+                            });
+                            task += 1;
+                            p0 += np;
+                        }
+                        r0 += rows;
+                    }
+                });
             }
         }
     });
+}
+
+/// Phase 1 task: pack panels `p0..p0 + np` of every `B` block a product
+/// reads, block `q`'s into `chunks[q]`.
+fn pack_b_panels<T: Scalar>(
+    nest: &LevelNest<'_, T>,
+    step: Step,
+    (p0, np): (usize, usize),
+    chunks: [&mut [T]; MAX_GRID_BLOCKS],
+) {
+    let Step { jc, nb, pc, kb } = step;
+    let (_, bk, bn) = nest.block;
+    let c0 = p0 * NR;
+    for (q, chunk) in chunks.into_iter().enumerate().filter(|&(q, _)| nest.b_read[q]) {
+        let blk = op_block(nest.op_b, nest.b, q, nest.g, bk, bn);
+        pack_b(nest.op_b, &blk, pc, jc + c0, kb, (np * NR).min(nb - c0), chunk);
+    }
+}
+
+/// Phase 2 task: rows `r0..r0 + rows` of every `C` block against panels
+/// `p0..p0 + np` of the packed `B` slots. `region` holds this task's
+/// `g²` `A` slots, then, when the table has sums, its `A` and `B`
+/// combination buffers.
+fn grid_task<T: Scalar>(
+    nest: &LevelNest<'_, T>,
+    step: Step,
+    (r0, rows): (usize, usize),
+    (p0, np): (usize, usize),
+    b_slots: &[T],
+    region: &mut [T],
+) {
+    let &LevelNest { alpha, beta, op_a, a, ldc, products, g, .. } = nest;
+    let (bm, bk, bn) = nest.block;
+    let (mc, _, _) = nest.blocking;
+    let (a_len, b_len) = nest.lens;
+    let Step { jc, nb, pc, kb } = step;
+    let (c0, b_off, b_used) = (p0 * NR, p0 * NR * kb, np * NR * kb);
+    let cols = (np * NR).min(nb - c0);
+    let (a_slots, comb) = region.split_at_mut(g * g * a_len);
+    let (comb_a, comb_b) = comb.split_at_mut(if nest.combine { a_len } else { 0 });
+
+    for ic in (r0..r0 + rows).step_by(mc) {
+        let mb = mc.min(r0 + rows - ic);
+        let a_used = mb.div_ceil(MR) * MR * kb;
+        let mut a_valid = [false; MAX_GRID_BLOCKS];
+        for (pi, p) in products.iter().enumerate() {
+            // Lazily pack the grid blocks this product needs; later
+            // products reuse them.
+            for (_, q) in p.a.iter() {
+                let q = q as usize;
+                if !a_valid[q] {
+                    let blk = op_block(op_a, a, q, g, bm, bk);
+                    pack_a(op_a, &blk, ic, pc, mb, kb, &mut a_slots[q * a_len..][..a_used]);
+                    a_valid[q] = true;
+                }
+            }
+            // Operand sums as combinations of packed panels; a bare
+            // `+X_q` term borrows the slot directly.
+            let pa: &[T] = match p.a.bare() {
+                Some(q) => &a_slots[q * a_len..][..a_used],
+                None => {
+                    combine_packed(&mut comb_a[..a_used], &p.a, a_slots, a_len);
+                    &comb_a[..a_used]
+                }
+            };
+            let pb: &[T] = match p.b.bare() {
+                Some(q) => &b_slots[q * b_len + b_off..][..b_used],
+                None => {
+                    combine_packed(&mut comb_b[..b_used], &p.b, &b_slots[b_off..], b_len);
+                    &comb_b[..b_used]
+                }
+            };
+
+            let dest = |t: usize| {
+                let (dl, q) = p.c.t[t];
+                let q = q as usize;
+                // SAFETY: grid blocks are disjoint, a product never lists
+                // the same block twice (checked in `gemm_level`), grid
+                // tasks own disjoint row bands and panel ranges of every
+                // block, and the parent view `c` is dormant while the
+                // block views are live.
+                let view = unsafe {
+                    MatMut::from_raw_parts(
+                        nest.c.0.add((q / g) * bm + r0 + ((q % g) * bn + jc + c0) * ldc),
+                        rows,
+                        cols,
+                        ldc,
+                    )
+                };
+                let first = pc == 0 && nest.first_touch[q] == pi;
+                Dest { c: view, coeff: alpha * T::from_f64(dl as f64), beta: first.then_some(beta) }
+            };
+            let run = |dests: &mut [Dest<'_, T>]| {
+                macrokernel_multi(mb, kb, cols, pa, pb, dests, ic - r0, 0);
+            };
+            match p.c.len {
+                1 => run(&mut [dest(0)]),
+                2 => run(&mut [dest(0), dest(1)]),
+                3 => run(&mut [dest(0), dest(1), dest(2)]),
+                _ => run(&mut [dest(0), dest(1), dest(2), dest(3)]),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -912,6 +977,86 @@ mod tests {
                         got.as_slice() == want.as_slice(),
                         "{m}x{k}x{n} β={beta} {serial:?}: parallel fused level differs from serial"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_thread_grid_is_bitwise_equal_to_serial() {
+        // The nest split 2, 3 and 4 ways, and the public parallel entries
+        // at this binary's pool size, against the nest run inline. Blocks
+        // of 130 rows split rows only; blocks of 20 rows (below 4·MR·ways)
+        // split the panels; 40-row blocks one NR panel wide split only
+        // their rows, and k = 1400 there gives many kc steps. The tiny
+        // blocking adds ragged MR/NR tails and several kc and nc blocks.
+        let _ = pool::set_num_threads(4);
+        let tiny = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
+        let strassen = strassen_table();
+        let ops = [Op::NoTrans, Op::Trans];
+        let same_bits = |x: &Matrix<f64>, y: &Matrix<f64>| {
+            x.as_slice().iter().zip(y.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits())
+        };
+        for serial in [GemmConfig::blocked(), tiny] {
+            let parallel = GemmConfig { algo: GemmAlgo::BlockedParallel, ..serial };
+            for (table, g) in [(&PLAIN[..], 1), (&strassen[..], 2)] {
+                for (bm, bk, bn) in [(130, 40, 61), (20, 40, 400), (40, 1400, 5)] {
+                    let (m, k, n) = (g * bm, g * bk, g * bn);
+                    // Trans operands for the plain GEMM only.
+                    let op_pairs = ops.iter().flat_map(|&x| ops.map(|y| (x, y)));
+                    for (op_a, op_b) in op_pairs.filter(|&pair| g == 1 || pair == (Op::NoTrans, Op::NoTrans))
+                    {
+                        let a = stored(op_a, m, k, 91);
+                        let b = stored(op_b, k, n, 92);
+                        for beta in [0.0, -0.5] {
+                            let c0 = if beta == 0.0 {
+                                Matrix::from_fn(m, n, |_, _| f64::NAN)
+                            } else {
+                                random::uniform::<f64>(m, n, 93)
+                            };
+                            let nest = |ways: usize| {
+                                let mut c = c0.clone();
+                                let (ar, br) = (a.as_ref(), b.as_ref());
+                                gemm_level(
+                                    ways,
+                                    &serial,
+                                    0.9,
+                                    op_a,
+                                    ar,
+                                    op_b,
+                                    br,
+                                    beta,
+                                    c.as_mut(),
+                                    table,
+                                    g,
+                                );
+                                c
+                            };
+                            let want = nest(1);
+                            let what = format!("{m}x{k}x{n} g={g} {op_a:?}/{op_b:?} β={beta} {serial:?}");
+                            assert!(want.as_slice().iter().all(|x| x.is_finite()), "{what}");
+                            for ways in 2..=4 {
+                                assert!(same_bits(&nest(ways), &want), "{ways} ways differ from one: {what}");
+                            }
+                            let mut got = c0.clone();
+                            let (ar, br) = (a.as_ref(), b.as_ref());
+                            if g == 1 {
+                                crate::level3::gemm_parallel(
+                                    &parallel,
+                                    0.9,
+                                    op_a,
+                                    ar,
+                                    op_b,
+                                    br,
+                                    beta,
+                                    got.as_mut(),
+                                );
+                            } else {
+                                gemm_fused_level(&parallel, 0.9, ar, br, beta, got.as_mut(), table, g);
+                            }
+                            assert!(same_bits(&got, &want), "parallel entry differs from serial: {what}");
+                        }
+                    }
                 }
             }
         }

@@ -10,8 +10,9 @@
 //! [`gemm_blocked`] is its one-block, one-product case, and
 //! [`gemm_fused_level`] runs a whole Strassen level through it with
 //! operand sums folded into packing and destination updates into the
-//! tile write-back. [`gemm_parallel`] splits that nest's column loop over
-//! the pool, and its row loop too when `n` is narrow. Small `f64`
+//! tile write-back. [`gemm_parallel`] runs the same nest on the pool: per
+//! `(jc, pc)` step the threads pack shared `B` panels, then split `C`
+//! over a grid of row bands and panel ranges. Small `f64`
 //! products on AVX-512 parts skip packing (an unpacked tier, bitwise
 //! equal to the nest); [`gemm_naive`] and [`gemm_blocked_classic`] are
 //! the unblocked and pre-5-loop references the tests pin against.
@@ -52,8 +53,8 @@ pub enum GemmAlgo {
     Naive,
     /// Cache-blocked, packing, register-tiled kernel (default).
     Blocked,
-    /// [`GemmAlgo::Blocked`] parallelized over column panels on the
-    /// in-tree thread pool.
+    /// [`GemmAlgo::Blocked`]'s nest split over the in-tree thread pool
+    /// (see [`gemm_parallel`]).
     BlockedParallel,
 }
 
@@ -81,7 +82,9 @@ impl GemmConfig {
         Self { algo: GemmAlgo::Naive, mc: 0, kc: 0, nc: 0 }
     }
 
-    /// Parallel blocked kernel with default block sizes.
+    /// Parallel blocked kernel with default block sizes: the blocked
+    /// nest split over the pool, bitwise equal to
+    /// [`GemmConfig::blocked`]'s results.
     pub const fn parallel() -> Self {
         Self { algo: GemmAlgo::BlockedParallel, mc: 128, kc: 256, nc: 512 }
     }
@@ -98,8 +101,8 @@ impl GemmConfig {
     /// [`GemmConfig::auto`] with the pool-parallel kernel: same
     /// machine-derived `(mc, kc, nc)` — and therefore bitwise-identical
     /// results, since the parallel nest only re-partitions the serial
-    /// loop order (see [`gemm_parallel`]) — but the jc/ic loops fan out
-    /// over the worker pool. This is what
+    /// loop order (see [`gemm_parallel`]) — but B packing and the ic/jr
+    /// loops fan out over the worker pool. This is what
     /// `StrassenConfig::dgefmm_parallel` uses for its leaf products.
     pub fn auto_parallel() -> Self {
         Self { algo: GemmAlgo::BlockedParallel, ..Self::auto() }

@@ -1,24 +1,23 @@
-//! Pool-parallel blocked GEMM: nested jc×ic loop parallelism.
+//! Pool-parallel GEMM: the thread policy of the one packed nest.
 //!
-//! The 5-loop BLIS nest exposes two independent loops and this driver
-//! uses both, the way *Implementing Strassen's Algorithm with BLIS*
-//! partitions its loops across threads:
+//! A parallel product — a plain GEMM ([`gemm_parallel`]) or a fused
+//! Strassen level — runs the same nest as a serial one ([`super::fused`]),
+//! split the Goto/BLIS way that *Implementing Strassen's Algorithm with
+//! BLIS* (§4) parallelizes its fused nest. For each `(jc, pc)` step:
 //!
-//! - **jc (column groups).** `n` is carved into `jc_ways` balanced,
-//!   `NR`-quantized column groups — one task each. Every group owns its
-//!   columns of `C` and `B` outright, so groups never synchronize. When
-//!   the groups alone fill the machine this is the packed nest's own
-//!   split ([`super::fused`]'s column groups, shared with the fused
-//!   Strassen level).
-//! - **ic (row blocks).** Workers left over after the jc split
-//!   (`ic_ways = threads / jc_ways`, the narrow-`n` regime where column
-//!   groups alone cannot fill the machine, so each group is a single
-//!   `NR` panel) cooperate *inside* each group (`panel_nested`): per
-//!   `(jc, pc)` step they first pack disjoint `NR`-panel ranges of the
-//!   shared `B` panel, then each packs its own `A` row-panels and
-//!   updates a disjoint row block of the `C` panel, sharing the packed
-//!   `B` read-only — the Goto/BLIS recipe (pack `B` once per (jc, pc),
-//!   many `A` packers against it).
+//! 1. **Pack B.** The threads pack disjoint `NR`-panel ranges of every
+//!    `B` block a product reads into one set of shared slots; then one
+//!    join.
+//! 2. **Compute.** An `ic_ways x jr_ways` grid of tasks ([`thread_grid`])
+//!    splits `C` into balanced `MR`-quantized row bands times `NR`-panel
+//!    ranges of the shared packed `B`. Each task packs its own `A` blocks
+//!    and combines its own operand sums.
+//!
+//! Each `A` and `B` block is thus packed once per cache block across the
+//! machine. Rows split into at most one band per `4·MR`-row quad tile,
+//! and the ways left over split the panels. The calling thread leases the
+//! one pack slab for every task, and a nest that splits one way runs
+//! inline, with no scope.
 //!
 //! The split is *balanced by quanta* ([`balanced_quanta`]): `ways`
 //! partitions differ by at most one `NR` (or `MR`) quantum and every
@@ -30,19 +29,18 @@
 //! **Determinism contract.** Every element of `C` is produced by the
 //! same floating-point operation sequence as [`gemm_blocked`] with the
 //! same config: the `kc` chunking of `k` (identical — both use
-//! [`clamp_blocking`]) fixes the per-element accumulation splits, the
-//! micro-kernel accumulates each chunk in ascending `kk`, and β is
-//! folded into the first `pc` write-back. Which task packs a panel or
-//! which worker owns a row block re-partitions only the *iteration
-//! space*, never a per-element reduction, so parallel results are
-//! bitwise identical to serial ones — the property the scheduler
-//! determinism tests pin end to end.
+//! `clamp_blocking`) fixes the per-element accumulation splits, the
+//! micro-kernel accumulates each chunk in ascending `kk`, products run in
+//! table order, and β is folded into the first `pc` write-back. Which
+//! task packs a panel or which worker owns a row band re-partitions only
+//! the *iteration space*, never a per-element reduction, so parallel
+//! results are bitwise identical to serial ones — the property the
+//! scheduler determinism tests pin end to end.
 
-use super::blocked::{clamp_blocking, gemm_blocked, pack_a, pack_b, panel_lens};
-use super::fused::{gemm_level, macrokernel_multi, Dest, PLAIN};
-use super::kernel::{MR, NR};
-use super::packbuf::with_pack_slab;
-use super::{check_gemm_dims, scale_c, GemmConfig};
+use super::blocked::gemm_blocked;
+use super::fused::{gemm_level, PLAIN};
+use super::kernel::MR;
+use super::{check_gemm_dims, GemmConfig};
 use crate::level2::Op;
 use matrix::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
@@ -73,12 +71,12 @@ const MIN_PARALLEL_FLOPS: usize = 64 * 64 * 64;
 ///
 /// A top-level caller helps with the tasks it spawns while it waits in
 /// `pool::scope`, so it is one more compute thread. A caller inside a
-/// task (a DAG product node, a column group) is already one of the
-/// pool's threads; counting it there too would give every nested leaf
-/// one group more than the pool can run. When the workers already cover
-/// every CPU (the default pool on a host without SMT), a group for the
-/// caller would time-slice with the workers' groups: on a 2-CPU host with
-/// 2 workers that cost a top-level 1024³ `gemm_parallel` about 13%.
+/// task (a DAG product node) is already one of the pool's threads;
+/// counting it there too would give every nested leaf one task more than
+/// the pool can run. When the workers already cover every CPU (the
+/// default pool on a host without SMT), a task for the caller would
+/// time-slice with the workers' tasks: on a 2-CPU host with 2 workers
+/// that cost a top-level 1024³ `gemm_parallel` about 13%.
 pub(crate) fn parallel_ways(m: usize, k: usize, n: usize) -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     if m.saturating_mul(k).saturating_mul(n) < MIN_PARALLEL_FLOPS {
@@ -94,7 +92,18 @@ fn split_ways(workers: usize, cpus: usize, in_task: bool) -> usize {
     workers + usize::from(!in_task && workers < cpus)
 }
 
-/// `C ← α op(A) op(B) + β C`, jc×ic loops processed in parallel.
+/// The compute phase's `(ic_ways, jr_ways)` grid for `ways` threads over
+/// blocks of `bm` rows: at most one row band per `4·MR`-row quad tile,
+/// and the ways left over split the `NR` panels.
+pub(crate) fn thread_grid(bm: usize, ways: usize) -> (usize, usize) {
+    let ic_ways = ways.min(bm.div_ceil(4 * MR)).max(1);
+    (ic_ways, ways / ic_ways)
+}
+
+/// `C ← α op(A) op(B) + β C` on the pool: the packed nest split over the
+/// pool's workers (plus the calling thread when it is free and a CPU is
+/// left for it), or [`gemm_blocked`] when the product is too small to
+/// split.
 pub fn gemm_parallel<T: Scalar>(
     cfg: &GemmConfig,
     alpha: T,
@@ -103,137 +112,19 @@ pub fn gemm_parallel<T: Scalar>(
     op_b: Op,
     b: MatRef<'_, T>,
     beta: T,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
 ) {
     let (m, k, n) = check_gemm_dims(op_a, &a, op_b, &b, &c);
-    let threads = parallel_ways(m, k, n);
-    if threads == 1 {
-        return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
+    match parallel_ways(m, k, n) {
+        1 => gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c),
+        ways => gemm_level(ways, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1),
     }
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        // Degenerate product: only the β scaling remains.
-        return scale_c(beta, &mut c);
-    }
-    // Fill the machine column-groups-first (they share nothing), then
-    // give leftover workers to the ic loop inside each group. The group
-    // count is `balanced_quanta(n.div_ceil(NR), threads).len()`.
-    let jc_ways = threads.min(n.div_ceil(NR));
-    let ic_ways = (threads / jc_ways).min(m.div_ceil(MR)).max(1);
-    if jc_ways == 1 && ic_ways == 1 {
-        return gemm_blocked(cfg, alpha, op_a, a, op_b, b, beta, c);
-    }
-    if ic_ways == 1 {
-        // Column groups alone fill the machine: the level nest's own
-        // split, with the same `parallel_ways` and `balanced_quanta`.
-        return gemm_level(true, cfg, alpha, op_a, a, op_b, b, beta, c, &PLAIN, 1);
-    }
-
-    // Narrow n: fewer column quanta than threads, so every group is one
-    // NR-wide panel (never wider than nc), and `ic_ways` workers share
-    // its rows. Identical clamping to the serial kernel: same kc ⇒ same
-    // per-element accumulation splits ⇒ bitwise-identical results.
-    let (mc, kc, _) = clamp_blocking(cfg, m, k, n);
-    let (a_ref, b_ref) = (&a, &b);
-    pool::scope(|scope| {
-        let mut rest = c;
-        for (group, jc) in (0..n).step_by(NR).enumerate() {
-            let (cpanel, tail) = rest.split_cols(NR.min(n - jc));
-            rest = tail;
-            // Timeline tags (see pool::ring::tag) let the trace exporter
-            // distinguish the GEMM task roles; they never affect
-            // scheduling.
-            let tag = pool::ring::tag::gemm_task(0, group as u8);
-            scope.spawn_tagged(None, tag, move || {
-                panel_nested(alpha, beta, op_a, a_ref, op_b, b_ref, cpanel, jc, m, k, mc, kc, ic_ways);
-            });
-        }
-    });
-}
-
-/// Narrow-`n` regime: `ic_ways` workers cooperate on one `C` column
-/// panel. Per `(jc, pc)` step the shared `B` panel is packed
-/// cooperatively (disjoint `NR`-panel ranges), then each worker packs
-/// its own `A` row-panels and updates a disjoint row block against the
-/// shared packed `B`.
-#[allow(clippy::too_many_arguments)]
-fn panel_nested<T: Scalar>(
-    alpha: T,
-    beta: T,
-    op_a: Op,
-    a: &MatRef<'_, T>,
-    op_b: Op,
-    b: &MatRef<'_, T>,
-    mut cpanel: MatMut<'_, T>,
-    jc: usize,
-    m: usize,
-    k: usize,
-    mc: usize,
-    kc: usize,
-    ic_ways: usize,
-) {
-    let nb = cpanel.ncols();
-    let bpanels = nb.div_ceil(NR);
-    let row_quanta = balanced_quanta(m.div_ceil(MR), ic_ways);
-    let (_, b_len) = panel_lens(mc, kc, nb);
-    with_pack_slab::<T, _>(b_len, |slab| {
-        for pc in (0..k).step_by(kc) {
-            let kb = kc.min(k - pc);
-            let beta_eff = if pc == 0 { Some(beta) } else { None };
-
-            // Phase 1: cooperative B pack. The packed-B layout is
-            // panel-major (panel q at q·NR·kb), so a panel range is a
-            // contiguous slab chunk handed to its packer via
-            // split_at_mut.
-            let pack_ranges = balanced_quanta(bpanels, ic_ways);
-            pool::scope(|s| {
-                let mut rest: &mut [T] = &mut slab[..bpanels * NR * kb];
-                let mut q0 = 0;
-                for &panels in &pack_ranges {
-                    let (chunk, tail) = rest.split_at_mut(panels * NR * kb);
-                    rest = tail;
-                    let cols = (panels * NR).min(nb - q0 * NR);
-                    let jc_range = jc + q0 * NR;
-                    let tag = pool::ring::tag::gemm_task(1, q0 as u8);
-                    s.spawn_tagged(None, tag, move || pack_b(op_b, b, pc, jc_range, kb, cols, chunk));
-                    q0 += panels;
-                }
-            });
-
-            // Phase 2: parallel ic row blocks against the shared packed
-            // B. Row views are rebuilt per pc step (they are moved into
-            // the tasks), always along the same MR-quantized boundaries.
-            let packed_b: &[T] = &slab[..bpanels * NR * kb];
-            pool::scope(|s| {
-                let mut rest = cpanel.rb_mut();
-                let mut r0 = 0;
-                for (block, &quanta) in row_quanta.iter().enumerate() {
-                    let rows = (quanta * MR).min(m - r0);
-                    let (crows, tail) = rest.split_rows(rows);
-                    rest = tail;
-                    let row0 = r0;
-                    let tag = pool::ring::tag::gemm_task(2, block as u8);
-                    s.spawn_tagged(None, tag, move || {
-                        let mut crows = crows;
-                        let a_len = mc.div_ceil(MR) * MR * kc;
-                        with_pack_slab::<T, _>(a_len, |packed_a| {
-                            for icc in (0..rows).step_by(mc) {
-                                let mb = mc.min(rows - icc);
-                                pack_a(op_a, a, row0 + icc, pc, mb, kb, packed_a);
-                                let dest = Dest { c: crows.rb_mut(), coeff: alpha, beta: beta_eff };
-                                macrokernel_multi(mb, kb, nb, packed_a, packed_b, &mut [dest], icc, 0);
-                            }
-                        });
-                    });
-                    r0 += rows;
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level3::NR;
     use matrix::random;
 
     fn init() {
@@ -272,6 +163,28 @@ mod tests {
                 ways,
                 "{workers} workers, {cpus} CPUs, in task {in_task}"
             );
+        }
+    }
+
+    #[test]
+    fn thread_grid_splits_rows_down_to_one_quad_tile_each() {
+        let quad = 4 * MR;
+        // (bm, ways) -> (ic_ways, jr_ways)
+        for (bm, ways, grid) in [
+            (1024, 1, (1, 1)),
+            (1024, 2, (2, 1)), // the benchmark's 2048³ fused level
+            (1024, 4, (4, 1)),
+            (2 * quad, 2, (2, 1)),
+            (quad + 1, 2, (2, 1)),
+            (quad, 2, (1, 2)), // one quad tile: the panels split
+            (1, 2, (1, 2)),
+            (4 * quad, 4, (4, 1)),
+            (3 * quad, 4, (3, 1)), // three bands; the fourth way idles
+            (2 * quad, 4, (2, 2)),
+            (quad, 4, (1, 4)),
+            (2 * quad, 3, (2, 1)),
+        ] {
+            assert_eq!(thread_grid(bm, ways), grid, "bm={bm} ways={ways}");
         }
     }
 

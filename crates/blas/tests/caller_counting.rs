@@ -5,9 +5,11 @@
 //! than the pool has workers, when the workers leave a CPU free. Started
 //! from inside a task, the caller is already one of the pool's threads
 //! and the split stays at the worker count. With the pool pinned to one
-//! worker that is two column groups at the top level (one on a 1-CPU
-//! host) and one (run inline, no task) inside a task, and either way the
-//! result is bitwise equal to the serial nest.
+//! worker a top-level nest splits two ways (one on a 1-CPU host, which
+//! runs inline), and inside a task it runs inline, with no task of its
+//! own. A split nest opens two scopes per `(jc, pc)` step, B packing then
+//! compute, each with one task per way. Either way the result is bitwise
+//! equal to the serial nest.
 //!
 //! The pool counters are process-wide, so everything runs in one test.
 
@@ -45,12 +47,25 @@ fn same_bits(x: &Matrix<f64>, y: &Matrix<f64>) -> bool {
     x.as_slice().iter().zip(y.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// Pool tasks a nest split `ways` ways runs over a `k x n` operand `B`
+/// under `cfg`: `ways` per scope, two scopes per `(jc, pc)` step, and
+/// none when it runs inline. The shapes below have at least `ways` `NR`
+/// panels and `4·MR·ways` rows, so every scope fills all its ways.
+fn nest_tasks(cfg: &GemmConfig, ways: u64, k: usize, n: usize) -> u64 {
+    let steps = n.div_ceil(cfg.nc.min(n)) * k.div_ceil(cfg.kc.min(k));
+    if ways == 1 {
+        0
+    } else {
+        ways * 2 * steps as u64
+    }
+}
+
 #[test]
 fn top_level_nests_count_the_helping_caller() {
     pool::set_num_threads(1).expect("the pool must run one worker");
     assert!(!pool::in_task());
-    // One group per worker plus one for the caller when a CPU is left.
-    let top_groups = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 { 2 } else { 1 };
+    // One way per worker plus one for the caller when a CPU is left.
+    let top_ways = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 { 2 } else { 1 };
     let serial = GemmConfig::blocked();
     let parallel = GemmConfig { algo: GemmAlgo::BlockedParallel, ..serial };
 
@@ -62,10 +77,14 @@ fn top_level_nests_count_the_helping_caller() {
     let mut want = c0.clone();
     gemm_blocked(&serial, 0.8, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), -0.5, want.as_mut());
     let mut top = c0.clone();
-    let groups = tasks_run(|| {
+    let top_tasks = tasks_run(|| {
         gemm_parallel(&parallel, 0.8, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), -0.5, top.as_mut())
     });
-    assert_eq!(groups, top_groups, "top-level gemm_parallel: one group per worker plus the caller");
+    assert_eq!(
+        top_tasks,
+        nest_tasks(&serial, top_ways, k, n),
+        "top-level gemm_parallel: one way per worker plus the caller"
+    );
     assert!(same_bits(&top, &want), "top-level gemm_parallel differs from serial");
     let mut nested = c0.clone();
     let tasks = tasks_run(|| {
@@ -85,7 +104,7 @@ fn top_level_nests_count_the_helping_caller() {
             })
         })
     });
-    assert_eq!(tasks, 1, "inside a task gemm_parallel runs one inline group");
+    assert_eq!(tasks, 1, "inside a task gemm_parallel runs inline, with no task of its own");
     assert!(same_bits(&nested, &want), "nested gemm_parallel differs from serial");
 
     // One fused Strassen level over 2x2 blocks of 128³.
@@ -97,9 +116,13 @@ fn top_level_nests_count_the_helping_caller() {
     let mut want = c0.clone();
     gemm_fused_level(&serial, 1.1, a.as_ref(), b.as_ref(), 0.3, want.as_mut(), &table, 2);
     let mut top = c0.clone();
-    let groups =
+    let top_tasks =
         tasks_run(|| gemm_fused_level(&parallel, 1.1, a.as_ref(), b.as_ref(), 0.3, top.as_mut(), &table, 2));
-    assert_eq!(groups, top_groups, "top-level fused level: one group per worker plus the caller");
+    assert_eq!(
+        top_tasks,
+        nest_tasks(&serial, top_ways, k / 2, n / 2),
+        "top-level fused level: one way per worker plus the caller"
+    );
     assert!(same_bits(&top, &want), "top-level fused level differs from serial");
     let mut nested = c0.clone();
     let tasks = tasks_run(|| {
@@ -109,6 +132,6 @@ fn top_level_nests_count_the_helping_caller() {
             })
         })
     });
-    assert_eq!(tasks, 1, "inside a task the fused level runs one inline group");
+    assert_eq!(tasks, 1, "inside a task the fused level runs inline, with no task of its own");
     assert!(same_bits(&nested, &want), "nested fused level differs from serial");
 }

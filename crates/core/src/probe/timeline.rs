@@ -166,7 +166,6 @@ fn tag_name(tag: u64) -> String {
         }
         ring::tag::NS_GEMM => {
             let role = match ring::tag::level(tag) {
-                0 => "jc",
                 1 => "packB",
                 2 => "rows",
                 _ => "task",
@@ -549,7 +548,6 @@ mod tests {
     fn tag_names_decode_all_namespaces() {
         assert_eq!(tag_name(tag::strassen_node(2, 14)), "L2:p7");
         assert_eq!(tag_name(tag::strassen_node(0, 20)), "L0:c22");
-        assert_eq!(tag_name(tag::gemm_task(0, 3)), "gemm:jc3");
         assert_eq!(tag_name(tag::gemm_task(1, 0)), "gemm:packB0");
         assert_eq!(tag_name(tag::gemm_task(2, 7)), "gemm:rows7");
         assert_eq!(tag_name(0), "task");

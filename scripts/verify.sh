@@ -87,8 +87,8 @@ echo "== 11/17 execution timeline (record + strict re-parse + overhead gate) =="
 # check: the export re-parses with the strict testkit parser, every
 # parallel level shows its tagged seven-temp tasks, one flow arrow
 # exists per recorded DAG dependency edge, and recording overhead stays
-# within the 5% gate (min-of-3, TIMELINE_NO_GUARD=1 demotes on noisy
-# hosts).
+# within the 5% gate (median of 9 paired on/off ratios, alternating
+# which side runs first; TIMELINE_NO_GUARD=1 demotes on noisy hosts).
 cargo run --release --offline --example timeline_trace -- --n 512 --depth 2 | tail -n 3
 
 echo "== 12/17 algorithm catalog regeneration gate =="

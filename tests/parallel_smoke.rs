@@ -33,11 +33,11 @@ fn pinned_workers() -> usize {
 }
 
 /// Held by the two fan-out tests and by the serial-twin test. The twin's
-/// top-level fused levels split into one column group per worker (the
-/// caller is not counted when the workers cover every CPU), and a group
-/// holds its worker long enough that a fan-out test running beside it can
-/// see only one worker take jobs. Poison-tolerant, so one failing test
-/// does not fail the others.
+/// top-level fused levels split one way per worker (the caller is not
+/// counted when the workers cover every CPU), and their B-packing and
+/// compute tasks keep every worker busy long enough that a fan-out test
+/// running beside them can see only one worker take jobs.
+/// Poison-tolerant, so one failing test does not fail the others.
 static FAN_OUT: Mutex<()> = Mutex::new(());
 
 fn fan_out_lock() -> MutexGuard<'static, ()> {

@@ -18,8 +18,8 @@
 //! must not over-allocate.
 
 use blas::level3::{
-    fused_level_pack_elements, gemm_blocked, gemm_fused_level, gemm_pack_elements, pack_buf_capacity_words,
-    BlockProduct, BlockTerms, GemmConfig,
+    fused_level_pack_elements, gemm_blocked, gemm_fused_level, gemm_pack_elements, gemm_parallel,
+    pack_buf_capacity_words, BlockProduct, BlockTerms, GemmConfig,
 };
 use blas::Op;
 use matrix::{random, Matrix};
@@ -260,6 +260,46 @@ fn fused_level_pack_slab_capacity_is_exact() {
                 fused_level_pack_elements(&cfg, m, k, n, 2) + PACK_SLACK_WORDS,
                 "{m}x{k}x{n}"
             );
+        })
+        .join()
+        .unwrap();
+    }
+}
+
+/// A pool-parallel nest leases its one pack slab on the calling thread:
+/// the shared B slots plus one A/combination region per compute task.
+/// No task leases anything, so the helping caller never finds its buffer
+/// taken and allocates a second one, and a warm call does not grow it.
+/// Pinned at one worker plus the caller, on a plain GEMM one `NR` panel
+/// wide (only its rows can split) and on a fused Strassen level.
+#[test]
+fn parallel_nest_leases_one_slab_on_the_caller() {
+    pool::set_num_threads(1).expect("the pool must run one worker");
+    let ways = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 { 2 } else { 1 };
+    let cfg = GemmConfig::parallel();
+    // (m, k, n, grid); every block has at least 4·MR·ways rows, so the
+    // compute phase runs `ways` tasks. Only the Strassen table has sums,
+    // and with them each task's A and B combination buffers.
+    for (m, k, n, g) in [(400usize, 400usize, 5usize, 1usize), (400, 400, 400, 2)] {
+        let (a_len, b_len) = gemm_pack_elements(&cfg, m / g, k / g, n / g);
+        let (g2, sums) = (g * g, usize::from(g > 1));
+        let expect = g2 * b_len + ways * ((g2 + sums) * a_len + sums * b_len) + PACK_SLACK_WORDS;
+        std::thread::spawn(move || {
+            let a = random::uniform::<f64>(m, k, 7);
+            let b = random::uniform::<f64>(k, n, 8);
+            let mut c = Matrix::<f64>::zeros(m, n);
+            let mut run = || {
+                let (ar, br) = (a.as_ref(), b.as_ref());
+                if g == 1 {
+                    gemm_parallel(&cfg, 1.0, Op::NoTrans, ar, Op::NoTrans, br, 0.0, c.as_mut());
+                } else {
+                    gemm_fused_level(&cfg, 1.0, ar, br, 0.0, c.as_mut(), &strassen_products(), g);
+                }
+            };
+            run();
+            assert_eq!(pack_buf_capacity_words(), expect, "{m}x{k}x{n} g={g}, {ways} ways");
+            run();
+            assert_eq!(pack_buf_capacity_words(), expect, "{m}x{k}x{n} g={g}: a warm call grew the buffer");
         })
         .join()
         .unwrap();
