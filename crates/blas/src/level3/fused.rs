@@ -114,6 +114,12 @@ impl BlockTerms {
     fn bare(&self) -> Option<usize> {
         (self.len == 1 && self.t[0].0 == 1).then_some(self.t[0].1 as usize)
     }
+
+    /// Same live terms in the same order: the two operands are one sum,
+    /// combined by the same γ-ordered chain.
+    fn same(&self, other: &Self) -> bool {
+        self.t[..self.len as usize] == other.t[..other.len as usize]
+    }
 }
 
 /// One fused sub-product `(Σ γ A_q)(Σ γ B_q) → Σ δ C_q` of a block
@@ -133,16 +139,100 @@ pub struct BlockProduct {
 pub(crate) const PLAIN: [BlockProduct; 1] =
     [BlockProduct { a: BlockTerms::single(1, 0), b: BlockTerms::single(1, 0), c: BlockTerms::single(1, 0) }];
 
-/// Pack-slab requirement (elements of `T`) of one [`gemm_fused_level`]
-/// call at shape `m x k x n` over a `g x g` grid whose table has operand
-/// sums (every Strassen table does): one slot per grid block of A and of
-/// B plus one combination buffer each, all at the problem-clamped panel
-/// sizes. Exposed for the Table-1 memory accounting tests.
-pub fn fused_level_pack_elements(cfg: &GemmConfig, m: usize, k: usize, n: usize, g: usize) -> usize {
-    let (bm, bk, bn) = (m / g, k / g, n / g);
-    let (mc, kc, nc) = clamp_blocking(cfg, bm, bk, bn);
-    let (a_len, b_len) = panel_lens(mc, kc, nc);
-    (g * g + 1) * (a_len + b_len)
+/// Most distinct B operands one table may have: a seven-product table
+/// flattened over two levels (49 products on a 4 x 4 grid) has 49.
+const MAX_B_OPERANDS: usize = 49;
+
+/// What the nest needs to know about a product table besides the
+/// products: where β lands, which B operands it builds, and which
+/// combination scratch it needs.
+struct TablePlan {
+    /// First product touching each C block — that touch carries β.
+    first_touch: [usize; MAX_GRID_BLOCKS],
+    /// The table's distinct B operands in order of first use; equal term
+    /// lists share one packed slot.
+    b_ops: [BlockTerms; MAX_B_OPERANDS],
+    b_op_count: usize,
+    /// The B blocks some sum or signed block reads: phase 1 packs them
+    /// into its panel scratch and builds those operands from there.
+    b_summed: [bool; MAX_GRID_BLOCKS],
+    /// Some A operand is a sum or a signed block, so every compute task
+    /// needs an A combination buffer.
+    a_sums: bool,
+}
+
+impl TablePlan {
+    /// # Panics
+    /// If the table has more than [`MAX_B_OPERANDS`] distinct B operands.
+    fn of(products: &[BlockProduct]) -> Self {
+        let mut plan = TablePlan {
+            first_touch: [usize::MAX; MAX_GRID_BLOCKS],
+            b_ops: [BlockTerms::single(1, 0); MAX_B_OPERANDS],
+            b_op_count: 0,
+            b_summed: [false; MAX_GRID_BLOCKS],
+            a_sums: products.iter().any(|p| p.a.bare().is_none()),
+        };
+        for (pi, p) in products.iter().enumerate() {
+            for (_, q) in p.c.iter() {
+                if plan.first_touch[q as usize] == usize::MAX {
+                    plan.first_touch[q as usize] = pi;
+                }
+            }
+            if p.b.bare().is_none() {
+                for (_, q) in p.b.iter() {
+                    plan.b_summed[q as usize] = true;
+                }
+            }
+            if !plan.b_ops().iter().any(|o| o.same(&p.b)) {
+                assert!(plan.b_op_count < MAX_B_OPERANDS, "more than {MAX_B_OPERANDS} distinct B operands");
+                plan.b_ops[plan.b_op_count] = p.b;
+                plan.b_op_count += 1;
+            }
+        }
+        plan
+    }
+
+    fn b_ops(&self) -> &[BlockTerms] {
+        &self.b_ops[..self.b_op_count]
+    }
+
+    /// The packed slot that holds the B operand `b`.
+    fn b_slot(&self, b: &BlockTerms) -> usize {
+        self.b_ops().iter().position(|o| o.same(b)).expect("every product's B operand has a slot")
+    }
+
+    /// Pack-slab parts at packed lengths `(a_len, b_len)` and depth `kc`:
+    /// the shared B operand slots, one phase-1 task's panel scratch (one
+    /// `NR x kc` panel per grid block), and one compute task's region
+    /// (`g²` A slots, plus the A combination buffer when the table has
+    /// A sums).
+    fn slab_parts(&self, g: usize, (a_len, b_len): (usize, usize), kc: usize) -> (usize, usize, usize) {
+        let g2 = g * g;
+        let b_sums = self.b_summed.iter().any(|&s| s);
+        (self.b_op_count * b_len, usize::from(b_sums) * g2 * NR * kc, (g2 + usize::from(self.a_sums)) * a_len)
+    }
+}
+
+/// Pack-slab requirement (elements of `T`) of one serial
+/// [`gemm_fused_level`] call running `products` at shape `m x k x n`
+/// over a `g x g` grid, at the problem-clamped panel sizes: one slot per
+/// distinct B operand, a `g² · NR · kc` panel scratch when some B operand
+/// is a sum or a signed block, and the `g²` A block slots plus an A
+/// combination buffer when some A operand is. For the 1969 Strassen table
+/// that is `7·b_len + 4·NR·kc + 5·a_len`; for the plain GEMM's one bare
+/// product it is `b_len + a_len`. Exposed for the Table-1 memory
+/// accounting tests.
+pub fn fused_level_pack_elements(
+    cfg: &GemmConfig,
+    m: usize,
+    k: usize,
+    n: usize,
+    products: &[BlockProduct],
+    g: usize,
+) -> usize {
+    let (mc, kc, nc) = clamp_blocking(cfg, m / g, k / g, n / g);
+    let (b_slots, scratch, region) = TablePlan::of(products).slab_parts(g, panel_lens(mc, kc, nc), kc);
+    b_slots + scratch + region
 }
 
 /// `dst[r] ← Σ_t γ_t · srcs_t[r]` with the term loop unrolled at compile
@@ -243,11 +333,41 @@ fn scatter_tile<T: Scalar>(
     }
 }
 
+/// Prefetch into L1 every cache line of the `rows x cols` tile at
+/// `(i0, j0)` of each destination. Called just before the micro-kernel
+/// that fills the tile, so its `kb` rank updates hide the fetch and the
+/// write-back finds `C` in L1 rather than in L3.
+#[inline(always)]
+fn prefetch_tiles<T>(dests: &[Dest<'_, T>], i0: usize, j0: usize, rows: usize, cols: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let bytes = rows * core::mem::size_of::<T>();
+        for dest in dests {
+            let (base, ld) = (dest.c.as_ref().as_ptr(), dest.c.ld());
+            for cc in 0..cols {
+                let col = base.wrapping_add((j0 + cc) * ld + i0).cast::<i8>();
+                // One prefetch per line the column segment starts in, and
+                // its last byte's line when the segment is not aligned.
+                for off in (0..bytes).step_by(LINE).chain([bytes - 1]) {
+                    // SAFETY: a prefetch is only a hint: it never faults
+                    // and changes no memory, whatever the address.
+                    unsafe { _mm_prefetch::<_MM_HINT_T0>(col.wrapping_add(off)) };
+                }
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (dests, i0, j0, rows, cols);
+}
+
 /// The macro-kernel: multiply one packed `mb x kb` A-block by one packed
 /// `kb x nb` B-panel and write each register tile into every destination
 /// at `(ic, jc)` of its view. The A-row panels are walked in quads, then
 /// a pair, then a single, so AVX-512 parts run the fused `4·MR x NR`
-/// micro-kernel on all but the last few panels of a block.
+/// micro-kernel on all but the last few panels of a block. Each tile's
+/// destination lines are prefetched before its micro-kernel runs.
 pub(crate) fn macrokernel_multi<T: Scalar>(
     mb: usize,
     kb: usize,
@@ -268,6 +388,11 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
         let col0 = qn * NR;
         let cols = NR.min(nb - col0);
         let pb = &packed_b[qn * NR * kb..(qn + 1) * NR * kb];
+        // The rows of panels `qm..qm + panels` in every destination.
+        let prefetch = |dests: &[Dest<'_, T>], qm: usize, panels: usize| {
+            let row0 = qm * MR;
+            prefetch_tiles(dests, ic + row0, jc + col0, (panels * MR).min(mb - row0), cols);
+        };
         // Tiles `qm..` of `acc` into every destination.
         let scatter = |dests: &mut [Dest<'_, T>], acc: &[AccTile<T>], qm: usize| {
             for (p, tile) in acc.iter().enumerate() {
@@ -278,18 +403,21 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
         let mut qm = 0;
         while qm + 4 <= mpanels {
             let mut acc = [[[T::ZERO; MR]; NR]; 4];
+            prefetch(dests, qm, 4);
             microkernel(kb, [pa(qm), pa(qm + 1), pa(qm + 2), pa(qm + 3)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
             qm += 4;
         }
         if qm + 2 <= mpanels {
             let mut acc = [[[T::ZERO; MR]; NR]; 2];
+            prefetch(dests, qm, 2);
             microkernel(kb, [pa(qm), pa(qm + 1)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
             qm += 2;
         }
         if qm < mpanels {
             let mut acc = [[[T::ZERO; MR]; NR]];
+            prefetch(dests, qm, 1);
             microkernel(kb, [pa(qm)], pb, acc.each_mut());
             scatter(dests, &acc, qm);
         }
@@ -302,17 +430,20 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
 /// ```text
 /// for jc (nc-wide slices of every C/B block column range)
 ///   for pc (kc-deep rank slices)
-///     phase 1: pack every B block a product reads, once
+///     phase 1: pack and build every distinct B operand, once
 ///     phase 2: for ic (mc-tall slices)      A-block panels packed once,
-///                for each product: combine γ-weighted packed panels,
-///                multiply, scatter into its δ-weighted C blocks
+///                for each product: combine its γ-weighted A panels,
+///                multiply by its B operand, scatter into its
+///                δ-weighted C blocks
 /// ```
 ///
 /// Every grid block of `A` and `B` is packed **once per cache block** and
 /// reused by all products that reference it — for Strassen's 7-product
 /// schedule that is 4 B-packing and 4 A-packing quadrant passes instead
 /// of 12 each — and operand sums are cheap linear combinations of
-/// already-packed panels.
+/// already-packed panels. Each B operand is built once per `(jc, pc)`
+/// step, panel by panel while its blocks' packed panels are in cache;
+/// products with equal B term lists share it.
 ///
 /// Semantics, for each product `p` in order:
 /// `C_q ← α δ_q (Σ γ A_blk)(Σ γ B_blk) + [β C_q]` where `β` applies on
@@ -321,8 +452,8 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
 /// `β` directly.
 ///
 /// `cfg.algo` picks serial or pool-parallel execution. Under
-/// [`GemmAlgo::BlockedParallel`] the threads pack disjoint panel ranges
-/// of phase 1's shared `B` slots, then split phase 2 over a grid of row
+/// [`GemmAlgo::BlockedParallel`] the threads build disjoint panel ranges
+/// of phase 1's shared `B` operand slots, then split phase 2 over a grid of row
 /// bands and panel ranges of `C`, each task packing its own `A` blocks
 /// (see [`super::gemm_parallel`]). Every element still sees the same
 /// operations in the same order, so the result is bitwise equal to the
@@ -332,8 +463,8 @@ pub(crate) fn macrokernel_multi<T: Scalar>(
 ///
 /// # Panics
 /// On dimension mismatch, `g` out of `1..=`[`MAX_GRID`], indices outside
-/// the grid, malformed term counts, or a product listing the same
-/// destination block twice.
+/// the grid, malformed term counts, a product listing the same
+/// destination block twice, or more than 49 distinct B operands.
 pub fn gemm_fused_level<T: Scalar>(
     cfg: &GemmConfig,
     alpha: T,
@@ -401,20 +532,7 @@ pub(crate) fn gemm_level<T: Scalar>(
     let n = c.ncols();
     let (bm, bk, bn) = (m / g, k / g, n / g);
 
-    // First product touching each C block — that touch carries β — and
-    // the B blocks some product reads.
-    let mut first_touch = [usize::MAX; MAX_GRID_BLOCKS];
-    let mut b_read = [false; MAX_GRID_BLOCKS];
-    for (pi, p) in products.iter().enumerate() {
-        for (_, q) in p.c.iter() {
-            if first_touch[q as usize] == usize::MAX {
-                first_touch[q as usize] = pi;
-            }
-        }
-        for (_, q) in p.b.iter() {
-            b_read[q as usize] = true;
-        }
-    }
+    let plan = TablePlan::of(products);
 
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 || products.is_empty() {
         // Degenerate product: only the β scaling remains.
@@ -422,7 +540,7 @@ pub(crate) fn gemm_level<T: Scalar>(
         return;
     }
     // Blocks outside the schedule still owe their β scaling.
-    for (q, &first) in first_touch.iter().enumerate().take(g2) {
+    for (q, &first) in plan.first_touch.iter().enumerate().take(g2) {
         if first == usize::MAX {
             scale_c(beta, &mut c.submatrix_mut((q / g) * bm, (q % g) * bn, bm, bn));
         }
@@ -439,9 +557,7 @@ pub(crate) fn gemm_level<T: Scalar>(
         c: CBase(c.as_mut_ptr()),
         ldc: c.ld(),
         products,
-        first_touch,
-        b_read,
-        combine: products.iter().any(|p| p.a.bare().is_none() || p.b.bare().is_none()),
+        plan,
         g,
         block: (bm, bk, bn),
         blocking: (mc, kc, nc),
@@ -474,13 +590,7 @@ struct LevelNest<'a, T> {
     c: CBase<T>,
     ldc: usize,
     products: &'a [BlockProduct],
-    /// First product touching each C block — that touch carries β.
-    first_touch: [usize; MAX_GRID_BLOCKS],
-    /// The B blocks some product reads: phase 1 packs these.
-    b_read: [bool; MAX_GRID_BLOCKS],
-    /// Some operand is a sum or a signed block, so every phase-2 task
-    /// needs a combination buffer for A and one for B.
-    combine: bool,
+    plan: TablePlan,
     g: usize,
     /// Block dimensions `(m/g, k/g, n/g)`.
     block: (usize, usize, usize),
@@ -512,53 +622,60 @@ fn op_block<'a, T>(op: Op, x: MatRef<'a, T>, q: usize, g: usize, rows: usize, co
 
 /// Run the nest split `ways` ways. For each `(jc, pc)` step:
 ///
-/// - **phase 1** packs every `B` block a product reads into shared slots,
-///   the threads taking disjoint `NR`-panel ranges; then one join;
+/// - **phase 1** packs and builds every distinct B operand into its
+///   shared slot, the threads taking disjoint `NR`-panel ranges
+///   ([`pack_b_panels`]); then one join;
 /// - **phase 2** splits `C` over an `ic_ways x jr_ways` grid of tasks
 ///   ([`thread_grid`]): balanced `MR`-quantized row bands times panel
-///   ranges of the shared packed `B`. Each task packs its own `A` blocks
-///   and combines its own `A` and `B` sums.
+///   ranges of the shared B operands. Each task packs its own `A` blocks
+///   and combines its own `A` sums.
 ///
-/// The calling thread leases the one pack slab: the shared `B` slots,
-/// then one `A`/combination region per grid task, handed out by
-/// splitting. No task leases anything, and `ways = 1` runs both phases
-/// inline, with no scope and no allocation.
+/// The calling thread leases the one pack slab: the shared B operand
+/// slots, then one panel scratch per phase-1 task, then one `A` region
+/// per grid task, handed out by splitting. No task leases anything, and
+/// `ways = 1` runs both phases inline, with no scope and no allocation.
 fn run_nest<T: Scalar>(nest: &LevelNest<'_, T>, ways: usize) {
     let (bm, bk, bn) = nest.block;
     let (_, kc, nc) = nest.blocking;
-    let (a_len, b_len) = nest.lens;
-    let g2 = nest.g * nest.g;
-    let comb = usize::from(nest.combine);
+    let b_len = nest.lens.1;
+    let ops = nest.plan.b_op_count;
     let (ic_ways, jr_ways) = thread_grid(bm, ways);
-    let region = (g2 + comb) * a_len + comb * b_len;
+    let (slots_len, scratch_len, region) = nest.plan.slab_parts(nest.g, nest.lens, kc);
 
-    with_pack_slab::<T, _>(g2 * b_len + ic_ways * jr_ways * region, |slab| {
-        let (b_slots, regions) = slab.split_at_mut(g2 * b_len);
+    with_pack_slab::<T, _>(slots_len + ways * scratch_len + ic_ways * jr_ways * region, |slab| {
+        let (b_slots, tail) = slab.split_at_mut(slots_len);
+        let (scratches, regions) = tail.split_at_mut(ways * scratch_len);
         let row_bands = if ways == 1 { Vec::new() } else { balanced_quanta(bm.div_ceil(MR), ic_ways) };
         for jc in (0..bn).step_by(nc) {
             for pc in (0..bk).step_by(kc) {
                 let step = Step { jc, nb: nc.min(bn - jc), pc, kb: kc.min(bk - pc) };
                 let (panels, panel_len) = (step.nb.div_ceil(NR), NR * step.kb);
-                // The used part of each B slot, split off in panel ranges.
-                let mut rest: [&mut [T]; MAX_GRID_BLOCKS] = Default::default();
+                // The used part of each operand slot, split off in panel
+                // ranges.
+                let mut rest: [&mut [T]; MAX_B_OPERANDS] = std::array::from_fn(|_| Default::default());
                 for (r, slot) in rest.iter_mut().zip(b_slots.chunks_mut(b_len)) {
                     *r = &mut slot[..panels * panel_len];
                 }
                 if ways == 1 {
-                    pack_b_panels(nest, step, (0, panels), rest);
+                    pack_b_panels(nest, step, (0, panels), &mut rest[..ops], scratches);
                     grid_task(nest, step, (0, bm), (0, panels), b_slots, regions);
                     continue;
                 }
 
                 pool::scope(|s| {
-                    let mut p0 = 0;
+                    let (mut p0, mut scratches) = (0, &mut *scratches);
                     for (i, &np) in balanced_quanta(panels, ways).iter().enumerate() {
-                        let mut chunks: [&mut [T]; MAX_GRID_BLOCKS] = Default::default();
-                        for (chunk, r) in chunks.iter_mut().zip(&mut rest).take(g2) {
+                        let mut chunks: [&mut [T]; MAX_B_OPERANDS] =
+                            std::array::from_fn(|_| Default::default());
+                        for (chunk, r) in chunks.iter_mut().zip(&mut rest).take(ops) {
                             (*chunk, *r) = std::mem::take(r).split_at_mut(np * panel_len);
                         }
+                        let scratch;
+                        (scratch, scratches) = std::mem::take(&mut scratches).split_at_mut(scratch_len);
                         let tag = pool::ring::tag::gemm_task(1, i as u8);
-                        s.spawn_tagged(None, tag, move || pack_b_panels(nest, step, (p0, np), chunks));
+                        s.spawn_tagged(None, tag, move || {
+                            pack_b_panels(nest, step, (p0, np), &mut chunks[..ops], scratch)
+                        });
                         p0 += np;
                     }
                 });
@@ -587,27 +704,46 @@ fn run_nest<T: Scalar>(nest: &LevelNest<'_, T>, ways: usize) {
     });
 }
 
-/// Phase 1 task: pack panels `p0..p0 + np` of every `B` block a product
-/// reads, block `q`'s into `chunks[q]`.
+/// Phase 1 task: build panels `p0..p0 + np` of every distinct B operand,
+/// operand `o`'s into `slots[o]`. Per panel, the blocks that sums read
+/// are packed into `scratch`, and every sum (or signed block) is combined
+/// from there while those panels are still in cache; a bare `+B_q` whose
+/// block no sum reads is packed straight into its slot, so a plain GEMM
+/// packs `B` once and uses no scratch.
 fn pack_b_panels<T: Scalar>(
     nest: &LevelNest<'_, T>,
     step: Step,
     (p0, np): (usize, usize),
-    chunks: [&mut [T]; MAX_GRID_BLOCKS],
+    slots: &mut [&mut [T]],
+    scratch: &mut [T],
 ) {
     let Step { jc, nb, pc, kb } = step;
     let (_, bk, bn) = nest.block;
-    let c0 = p0 * NR;
-    for (q, chunk) in chunks.into_iter().enumerate().filter(|&(q, _)| nest.b_read[q]) {
-        let blk = op_block(nest.op_b, nest.b, q, nest.g, bk, bn);
-        pack_b(nest.op_b, &blk, pc, jc + c0, kb, (np * NR).min(nb - c0), chunk);
+    let plan = &nest.plan;
+    let panel_len = NR * kb;
+    for j in 0..np {
+        let c0 = (p0 + j) * NR;
+        let pack = |q: usize, buf: &mut [T]| {
+            let blk = op_block(nest.op_b, nest.b, q, nest.g, bk, bn);
+            pack_b(nest.op_b, &blk, pc, jc + c0, kb, NR.min(nb - c0), buf);
+        };
+        for q in (0..nest.g * nest.g).filter(|&q| plan.b_summed[q]) {
+            pack(q, &mut scratch[q * panel_len..][..panel_len]);
+        }
+        for (terms, slot) in plan.b_ops().iter().zip(slots.iter_mut()) {
+            let dst = &mut slot[j * panel_len..][..panel_len];
+            match terms.bare() {
+                Some(q) if !plan.b_summed[q] => pack(q, dst),
+                _ => combine_packed(dst, terms, scratch, panel_len),
+            }
+        }
     }
 }
 
 /// Phase 2 task: rows `r0..r0 + rows` of every `C` block against panels
-/// `p0..p0 + np` of the packed `B` slots. `region` holds this task's
-/// `g²` `A` slots, then, when the table has sums, its `A` and `B`
-/// combination buffers.
+/// `p0..p0 + np` of the shared B operand slots. `region` holds this
+/// task's `g²` `A` slots, then, when the table has A sums, its `A`
+/// combination buffer.
 fn grid_task<T: Scalar>(
     nest: &LevelNest<'_, T>,
     step: Step,
@@ -623,8 +759,7 @@ fn grid_task<T: Scalar>(
     let Step { jc, nb, pc, kb } = step;
     let (c0, b_off, b_used) = (p0 * NR, p0 * NR * kb, np * NR * kb);
     let cols = (np * NR).min(nb - c0);
-    let (a_slots, comb) = region.split_at_mut(g * g * a_len);
-    let (comb_a, comb_b) = comb.split_at_mut(if nest.combine { a_len } else { 0 });
+    let (a_slots, comb_a) = region.split_at_mut(g * g * a_len);
 
     for ic in (r0..r0 + rows).step_by(mc) {
         let mb = mc.min(r0 + rows - ic);
@@ -641,8 +776,8 @@ fn grid_task<T: Scalar>(
                     a_valid[q] = true;
                 }
             }
-            // Operand sums as combinations of packed panels; a bare
-            // `+X_q` term borrows the slot directly.
+            // An A sum as a combination of packed panels; a bare `+A_q`
+            // borrows the slot directly.
             let pa: &[T] = match p.a.bare() {
                 Some(q) => &a_slots[q * a_len..][..a_used],
                 None => {
@@ -650,13 +785,7 @@ fn grid_task<T: Scalar>(
                     &comb_a[..a_used]
                 }
             };
-            let pb: &[T] = match p.b.bare() {
-                Some(q) => &b_slots[q * b_len + b_off..][..b_used],
-                None => {
-                    combine_packed(&mut comb_b[..b_used], &p.b, &b_slots[b_off..], b_len);
-                    &comb_b[..b_used]
-                }
-            };
+            let pb = &b_slots[nest.plan.b_slot(&p.b) * b_len + b_off..][..b_used];
 
             let dest = |t: usize| {
                 let (dl, q) = p.c.t[t];
@@ -674,7 +803,7 @@ fn grid_task<T: Scalar>(
                         ldc,
                     )
                 };
-                let first = pc == 0 && nest.first_touch[q] == pi;
+                let first = pc == 0 && nest.plan.first_touch[q] == pi;
                 Dest { c: view, coeff: alpha * T::from_f64(dl as f64), beta: first.then_some(beta) }
             };
             let run = |dests: &mut [Dest<'_, T>]| {
@@ -955,10 +1084,11 @@ mod tests {
 
     #[test]
     fn parallel_fused_level_is_bitwise_identical_to_serial() {
-        // The column-group split of the pool-parallel nest re-partitions
-        // only the iteration space. Block widths 65 and 97 are not
-        // multiples of NR, so the last group is ragged; the tiny blocking
-        // makes every group span several nc blocks and kc chunks.
+        // The pool-parallel nest re-partitions only the iteration space:
+        // phase 1's B-operand panel ranges and phase 2's row bands and
+        // panel ranges. Block widths 65 and 97 are not multiples of NR,
+        // so the last panel is ragged; the tiny blocking makes the nest
+        // run several nc blocks and kc chunks.
         let _ = pool::set_num_threads(4);
         let table = strassen_table();
         let tiny = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
@@ -1095,5 +1225,105 @@ mod tests {
             );
         }
         assert!(got.as_slice() == want.as_slice(), "fused level differs from per-product calls");
+    }
+
+    #[test]
+    fn shared_and_signed_b_operands_match_per_product_calls() {
+        // A 3 x 3 table whose B operands exercise every way phase 1
+        // builds one: products 0 and 1 share the sum B0 + B4 (one slot),
+        // product 2 reads the 4-term sum B1 − B2 − B5 + B7, product 3
+        // the signed single −B3, products 4 and 6 share the bare B6 (no
+        // sum reads it, so it is packed straight into its slot), and
+        // product 5's bare B0 is built from the panel scratch because a
+        // sum reads B0 too. Blocks 1, 2, 3, 5 and 7 are read only inside
+        // sums. The nest runs 1–4 ways and is compared bit for bit with
+        // each product run as its own one-product call (so each B operand
+        // is built alone), kc slice by kc slice in table order, which is
+        // the order in which the level accumulates every element.
+        let _ = pool::set_num_threads(4);
+        let t = BlockTerms::new;
+        let p = |a: &[(i8, u8)], b: &[(i8, u8)], c: &[(i8, u8)]| BlockProduct { a: t(a), b: t(b), c: t(c) };
+        let table = [
+            p(&[(1, 0), (1, 4)], &[(1, 0), (1, 4)], &[(1, 0), (1, 4)]),
+            p(&[(1, 1)], &[(1, 0), (1, 4)], &[(1, 1), (-1, 8)]),
+            p(&[(1, 2), (-1, 3)], &[(1, 1), (-1, 2), (-1, 5), (1, 7)], &[(1, 2)]),
+            p(&[(1, 8)], &[(-1, 3)], &[(1, 3), (1, 5)]),
+            p(&[(1, 4)], &[(1, 6)], &[(1, 6), (-1, 0)]),
+            p(&[(1, 5)], &[(1, 0)], &[(1, 7)]),
+            p(&[(-1, 7)], &[(1, 6)], &[(1, 8)]),
+        ];
+        assert_eq!(TablePlan::of(&table).b_op_count, 5);
+        let g = 3;
+        let tiny = GemmConfig { mc: 16, kc: 12, nc: 20, ..GemmConfig::blocked() };
+        // Columns `pc..pc + kb` of every block column of A (rows of every
+        // block row of B), side by side: the operands of one kc slice.
+        let a_slice = |a: &Matrix<f64>, bk: usize, pc: usize, kb: usize| {
+            Matrix::from_fn(a.nrows(), g * kb, |i, j| a.at(i, (j / kb) * bk + pc + j % kb))
+        };
+        let b_slice = |b: &Matrix<f64>, bk: usize, pc: usize, kb: usize| {
+            Matrix::from_fn(g * kb, b.ncols(), |i, j| b.at((i / kb) * bk + pc + i % kb, j))
+        };
+        for cfg in [GemmConfig::blocked(), tiny] {
+            // 47-column blocks: three nc blocks under the tiny blocking
+            // and ragged NR tails; 30-deep blocks: kc slices 12, 12, 6;
+            // 37-row blocks split rows, 20-row blocks split panels.
+            for (bm, bk, bn) in [(37, 30, 47), (20, 30, 47)] {
+                let (m, k, n) = (g * bm, g * bk, g * bn);
+                let a = random::uniform::<f64>(m, k, 101);
+                let b = random::uniform::<f64>(k, n, 102);
+                for beta in [0.0, -0.5] {
+                    let c0 = if beta == 0.0 {
+                        Matrix::from_fn(m, n, |_, _| f64::NAN)
+                    } else {
+                        random::uniform::<f64>(m, n, 103)
+                    };
+                    let mut want = c0.clone();
+                    crate::level3::scale_in_place(beta, want.as_mut());
+                    let (_, kc, _) = clamp_blocking(&cfg, bm, bk, bn);
+                    for pc in (0..bk).step_by(kc) {
+                        let kb = kc.min(bk - pc);
+                        let (a_pc, b_pc) = (a_slice(&a, bk, pc, kb), b_slice(&b, bk, pc, kb));
+                        for prod in &table {
+                            let one = core::slice::from_ref(prod);
+                            gemm_fused_level(
+                                &cfg,
+                                0.9,
+                                a_pc.as_ref(),
+                                b_pc.as_ref(),
+                                1.0,
+                                want.as_mut(),
+                                one,
+                                g,
+                            );
+                        }
+                    }
+                    assert!(want.as_slice().iter().all(|x| x.is_finite()));
+                    for ways in 1..=4 {
+                        let mut got = c0.clone();
+                        let (ar, br) = (a.as_ref(), b.as_ref());
+                        gemm_level(
+                            ways,
+                            &cfg,
+                            0.9,
+                            Op::NoTrans,
+                            ar,
+                            Op::NoTrans,
+                            br,
+                            beta,
+                            got.as_mut(),
+                            &table,
+                            g,
+                        );
+                        assert!(
+                            got.as_slice()
+                                .iter()
+                                .zip(want.as_slice())
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{m}x{k}x{n} β={beta} {ways} ways {cfg:?}: level differs from per-product calls"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

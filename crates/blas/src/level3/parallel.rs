@@ -5,16 +5,17 @@
 //! split the Goto/BLIS way that *Implementing Strassen's Algorithm with
 //! BLIS* (§4) parallelizes its fused nest. For each `(jc, pc)` step:
 //!
-//! 1. **Pack B.** The threads pack disjoint `NR`-panel ranges of every
-//!    `B` block a product reads into one set of shared slots; then one
-//!    join.
+//! 1. **Pack and build every B operand.** The threads take disjoint
+//!    `NR`-panel ranges. Per panel, a thread packs the `B` blocks the
+//!    table reads and writes every distinct B operand (a bare block or a
+//!    γ-weighted sum) into its shared slot; then one join.
 //! 2. **Compute.** An `ic_ways x jr_ways` grid of tasks ([`thread_grid`])
 //!    splits `C` into balanced `MR`-quantized row bands times `NR`-panel
-//!    ranges of the shared packed `B`. Each task packs its own `A` blocks
-//!    and combines its own operand sums.
+//!    ranges of the shared B operands. Each task packs its own `A` blocks
+//!    and combines its own `A` sums.
 //!
 //! Each `A` and `B` block is thus packed once per cache block across the
-//! machine. Rows split into at most one band per `4·MR`-row quad tile,
+//! machine, and each B operand is built once. Rows split into at most one band per `4·MR`-row quad tile,
 //! and the ways left over split the panels. The calling thread leases the
 //! one pack slab for every task, and a nest that splits one way runs
 //! inline, with no scope.

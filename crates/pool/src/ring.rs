@@ -399,8 +399,8 @@ pub mod tag {
         (NS_STRASSEN as u64) << 56 | (level as u64) << 8 | node as u64
     }
 
-    /// Tag for a parallel-GEMM task: `role` (1 = B packing, 2 = compute
-    /// grid task) and a task index.
+    /// Tag for a parallel-GEMM task: `role` (1 = packing and building the
+    /// B operands, 2 = compute grid task) and a task index.
     pub fn gemm_task(role: u8, idx: u8) -> u64 {
         (NS_GEMM as u64) << 56 | (role as u64) << 8 | idx as u64
     }

@@ -26,8 +26,9 @@
 //!   4 sum-chain + 8 product←operand + 13 combine);
 //! * recording overhead stays within the 5% gate, measured as the
 //!   median of 9 paired tracing-on/tracing-off time ratios, with the
-//!   side that runs first alternating (`TIMELINE_NO_GUARD=1` demotes a
-//!   noisy failure to a loud warning).
+//!   side that runs first alternating and each side repeating the
+//!   multiply for about 100 ms (`TIMELINE_NO_GUARD=1` demotes a noisy
+//!   failure to a loud warning).
 
 use blas::Op;
 use matrix::{random, Matrix};
@@ -135,15 +136,19 @@ fn main() {
     // Overhead gate: the median of paired on/off time ratios. Each pair
     // runs both sides back to back, and which side goes first alternates,
     // so a drift in host speed moves both halves of a pair alike and
-    // favours neither side.
+    // favours neither side. Each side runs `reps` multiplies, enough for
+    // about 100 ms: one short multiply per side leaves the ratio to
+    // scheduler noise many times the size of the gate.
     let pairs = 9;
     let seconds = |f: &dyn Fn()| {
         let t = Instant::now();
         f();
         t.elapsed().as_secs_f64()
     };
-    let off = || drop(multiply());
-    let on = || drop(timeline::record(multiply));
+    let one = seconds(&|| drop(multiply()));
+    let reps = (0.1 / one).ceil().clamp(1.0, 1000.0) as usize;
+    let off = || (0..reps).for_each(|_| drop(multiply()));
+    let on = || (0..reps).for_each(|_| drop(timeline::record(multiply)));
     let mut ratios: Vec<f64> = (0..pairs)
         .map(|i| {
             if i % 2 == 0 {
@@ -160,8 +165,8 @@ fn main() {
     let overhead = rank(0.5);
     let pct = |r: f64| 100.0 * (r - 1.0);
     println!(
-        "recording overhead: {:.2}% (median of {pairs} paired on/off ratios, interquartile range \
-         {:.2}% to {:.2}%, gate 5%)",
+        "recording overhead: {:.2}% (median of {pairs} paired on/off ratios of {reps} multiplies \
+         per side, interquartile range {:.2}% to {:.2}%, gate 5%)",
         pct(overhead),
         pct(rank(0.25)),
         pct(rank(0.75)),

@@ -19,7 +19,7 @@
 
 use blas::level3::{
     fused_level_pack_elements, gemm_blocked, gemm_fused_level, gemm_pack_elements, gemm_parallel,
-    pack_buf_capacity_words, BlockProduct, BlockTerms, GemmConfig,
+    pack_buf_capacity_words, BlockProduct, BlockTerms, GemmConfig, NR,
 };
 use blas::Op;
 use matrix::{random, Matrix};
@@ -244,8 +244,9 @@ fn gemm_pack_buffer_capacity_is_exact() {
     }
 }
 
-/// The fused-level executor's slab — one slot per grid block of A and B
-/// plus one combination buffer each — is likewise accounted exactly.
+/// The fused-level executor's slab — one slot per distinct B operand, a
+/// B panel scratch, and one slot per grid block of A plus an A
+/// combination buffer — is likewise accounted exactly.
 #[test]
 fn fused_level_pack_slab_capacity_is_exact() {
     for (m, k, n) in [(64usize, 64usize, 64usize), (26, 18, 34), (96, 32, 48)] {
@@ -257,7 +258,7 @@ fn fused_level_pack_slab_capacity_is_exact() {
             gemm_fused_level(&cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), &strassen_products(), 2);
             assert_eq!(
                 pack_buf_capacity_words(),
-                fused_level_pack_elements(&cfg, m, k, n, 2) + PACK_SLACK_WORDS,
+                fused_level_pack_elements(&cfg, m, k, n, &strassen_products(), 2) + PACK_SLACK_WORDS,
                 "{m}x{k}x{n}"
             );
         })
@@ -267,7 +268,8 @@ fn fused_level_pack_slab_capacity_is_exact() {
 }
 
 /// A pool-parallel nest leases its one pack slab on the calling thread:
-/// the shared B slots plus one A/combination region per compute task.
+/// the shared B operand slots, one B panel scratch per B-building task,
+/// and one A/combination region per compute task.
 /// No task leases anything, so the helping caller never finds its buffer
 /// taken and allocates a second one, and a warm call does not grow it.
 /// Pinned at one worker plus the caller, on a plain GEMM one `NR` panel
@@ -277,13 +279,15 @@ fn parallel_nest_leases_one_slab_on_the_caller() {
     pool::set_num_threads(1).expect("the pool must run one worker");
     let ways = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 { 2 } else { 1 };
     let cfg = GemmConfig::parallel();
-    // (m, k, n, grid); every block has at least 4·MR·ways rows, so the
-    // compute phase runs `ways` tasks. Only the Strassen table has sums,
-    // and with them each task's A and B combination buffers.
-    for (m, k, n, g) in [(400usize, 400usize, 5usize, 1usize), (400, 400, 400, 2)] {
+    // (m, k, n, grid, distinct B operands); every block has at least
+    // 4·MR·ways rows, so the compute phase runs `ways` tasks. Only the
+    // Strassen table has sums, and with them each B-building task's
+    // `g²` panels of scratch (`NR x kc` each, at the clamped kc) and each
+    // compute task's A combination buffer.
+    for (m, k, n, g, ops) in [(400usize, 400usize, 5usize, 1usize, 1usize), (400, 400, 400, 2, 7)] {
         let (a_len, b_len) = gemm_pack_elements(&cfg, m / g, k / g, n / g);
-        let (g2, sums) = (g * g, usize::from(g > 1));
-        let expect = g2 * b_len + ways * ((g2 + sums) * a_len + sums * b_len) + PACK_SLACK_WORDS;
+        let (g2, sums, kc) = (g * g, usize::from(g > 1), cfg.kc.min(k / g));
+        let expect = ops * b_len + ways * (sums * g2 * NR * kc + (g2 + sums) * a_len) + PACK_SLACK_WORDS;
         std::thread::spawn(move || {
             let a = random::uniform::<f64>(m, k, 7);
             let b = random::uniform::<f64>(k, n, 8);
@@ -323,7 +327,7 @@ fn dgefmm_pack_footprint_bounded_and_reused() {
         let warm = pack_buf_capacity_words();
         assert_eq!(
             warm,
-            fused_level_pack_elements(&cfg.gemm, m, k, n, 2) + PACK_SLACK_WORDS,
+            fused_level_pack_elements(&cfg.gemm, m, k, n, &strassen_products(), 2) + PACK_SLACK_WORDS,
             "fused level slab is the high-water pack requirement"
         );
         dgefmm(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
