@@ -4,12 +4,12 @@
 //! experiments <name|all> [--scale smoke|small|full] [--profile NAME]
 //!
 //! names: analytic table1 fig2 table2 table3 table4 table5
-//!        fig3 fig4 fig5 fig6 table6 all
+//!        fig3 fig4 fig5 fig6 table6 stability model ablation all
 //! profiles: rs6000-like (default) | c90-like | t3d-like
 //! ```
 
 use bench::experiments::{
-    analytic, fig2, fig6, figs345, model, stability, table1, table23, table4, table5, table6,
+    ablation, analytic, fig2, fig6, figs345, model, stability, table1, table23, table4, table5, table6,
 };
 use bench::profiles::{self, MachineProfile};
 use bench::runner::Scale;
@@ -30,6 +30,7 @@ const NAMES: &[&str] = &[
     "table6",
     "stability",
     "model",
+    "ablation",
 ];
 
 fn usage() -> ExitCode {
@@ -55,6 +56,7 @@ fn run_one(name: &str, scale: Scale, profile: &MachineProfile) -> Option<String>
         "table6" => table6::run(scale, profile),
         "stability" => stability::run(scale),
         "model" => model::run(scale, profile),
+        "ablation" => ablation::run(scale),
         _ => return None,
     })
 }

@@ -1,5 +1,6 @@
 //! One module per table/figure of the paper's evaluation section.
 
+pub mod ablation;
 pub mod analytic;
 pub mod fig2;
 pub mod fig6;

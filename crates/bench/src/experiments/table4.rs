@@ -9,7 +9,7 @@
 
 use crate::profiles::MachineProfile;
 use crate::runner::{time_dgefmm, Scale, ShapeSampler};
-use crate::stats::summarize;
+use stats::summarize;
 use std::fmt::Write;
 use strassen::CutoffCriterion;
 

@@ -8,7 +8,5 @@
 #![allow(clippy::too_many_arguments, clippy::manual_is_multiple_of, clippy::needless_range_loop)]
 
 pub mod experiments;
-pub mod micro;
 pub mod profiles;
 pub mod runner;
-pub mod stats;

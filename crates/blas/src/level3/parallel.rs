@@ -219,7 +219,8 @@ mod tests {
         init();
         // The determinism contract in the module docs, pinned directly:
         // same kc ⇒ same element-wise op order ⇒ equal bits, across both
-        // the wide-n (jc) and narrow-n (nested ic) regimes and under
+        // axes of the ic × jr compute grid (row bands when a block holds
+        // more than one 4·MR quad tile, NR panels otherwise) and under
         // transposes.
         let pcfg = GemmConfig::parallel();
         let scfg = GemmConfig::blocked();
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     fn narrow_n_uses_nested_rows_and_matches() {
         init();
-        // n below one NR quantum per thread: the jc split degenerates and
-        // the nested ic path must carry the work.
+        // n below one NR panel: the grid's jr axis has nothing to split,
+        // so its ic row bands must carry the work.
         let a = random::uniform::<f64>(500, 120, 41);
         let b = random::uniform::<f64>(120, 5, 42);
         let mut c1 = random::uniform::<f64>(500, 5, 43);

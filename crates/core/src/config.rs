@@ -155,7 +155,8 @@ pub struct StrassenConfig {
     /// leaf GEMMs) through the fused add-pack / multi-destination
     /// write-back kernels instead of the temp-based schedules. Requires
     /// a blocked GEMM kernel, serial or pool-parallel (the parallel one
-    /// splits the fused nest's column loop, bitwise equal to serial), and
+    /// splits the fused nest's `C` over an `ic × jr` thread grid, bitwise
+    /// equal to serial), and
     /// the ⟨2,2,2⟩ family; the naive kernel and other families ignore
     /// the flag.
     pub fused: bool,
@@ -187,9 +188,9 @@ impl StrassenConfig {
     /// seven-temporary parallel schedule, task-DAG scheduling over the
     /// top two recursion levels (49 leaf products — enough independent
     /// tasks for any core count this code targets), and parallel leaf
-    /// GEMMs so the nested jc×ic loop parallelism can soak up workers
-    /// the Strassen level leaves idle. The last level runs fused, its
-    /// column loop split across the pool.
+    /// GEMMs so the packed nest's `ic × jr` thread grid can soak up
+    /// workers the Strassen level leaves idle. The last level runs fused,
+    /// its `C` split over the same grid.
     ///
     /// It carries its own eq.-(15) parameters, `Hybrid { τ = 1024,
     /// τm = τk = τn = 512 }`, measured for the leaf kernel it actually

@@ -1,6 +1,6 @@
 //! Padding strategies for odd dimensions (Section 2's alternatives to
-//! dynamic peeling — implemented both as comparators and to let the
-//! benches reproduce the peel-vs-pad design argument).
+//! dynamic peeling — implemented both as comparators and to let
+//! `experiments ablation` reproduce the peel-vs-pad design argument).
 
 use crate::config::{OddHandling, StrassenConfig};
 use crate::dispatch::fmm;

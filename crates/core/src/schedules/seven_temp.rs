@@ -9,7 +9,7 @@
 //! — which makes the products *data-independent* and therefore runnable
 //! as parallel tasks. This is the "extend our implementation to use …
 //! parallelism" future-work item of Section 5, and the memory-versus-
-//! parallelism ablation in the benches.
+//! parallelism ablation of `experiments ablation`.
 //!
 //! A level is the 21-node program [`SEVEN_TEMP`]: 8 operand adds, 7
 //! products, 2 shared-U updates, 4 quadrant write-backs. Run in node

@@ -19,10 +19,13 @@ echo "== 2/17 offline test suite (pinned-thread matrix) =="
 STRASSEN_THREADS=1 cargo test -q --offline
 STRASSEN_THREADS=4 cargo test -q --offline
 
-echo "== 3/17 bench targets compile (offline) =="
-# The twelve `cargo bench` targets and the `experiments` binary that
-# regenerates the paper's tables and figures; neither runs here.
-cargo build --release --offline -p strassen-bench --benches --bins
+echo "== 3/17 experiments binary builds and runs the ablation study =="
+# The `experiments` binary regenerates the paper's tables and figures
+# and is the one timing harness besides benchmark/. Its smoke-scale
+# ablation run (orders <= 128) takes well under a second and exercises
+# every schedule, odd-handling, variant and depth row end to end.
+cargo build --release --offline -p strassen-bench --bins
+cargo run --release --offline --quiet -p strassen-bench --bin experiments -- ablation --scale smoke
 
 echo "== 4/17 benchmark package builds and passes its tests =="
 # The benchmark (BENCHMARK.json) is a package of its own outside the
