@@ -39,9 +39,12 @@ use blas::level3::{gemm, GemmConfig};
 use matrix::{random, Matrix};
 use std::time::Instant;
 
-/// Wall-clock seconds of `reps` runs of `f`, in execution order.
+/// Wall-clock seconds of `reps` runs of `f`, in execution order, after
+/// one untimed warm-up run, so the first sample of a study is not the
+/// cold one.
 pub fn time_samples(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
     assert!(reps > 0);
+    f();
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -51,7 +54,8 @@ pub fn time_samples(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
     times
 }
 
-/// Median wall-clock seconds of `reps` runs of `f`.
+/// Median wall-clock seconds of `reps` timed runs of `f` (see
+/// [`time_samples`]).
 pub fn time_median(reps: usize, f: impl FnMut()) -> f64 {
     stats::median(&time_samples(reps, f))
 }
@@ -463,6 +467,14 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn time_samples_warms_up_once_untimed() {
+        let mut calls = 0;
+        let samples = time_samples(4, || calls += 1);
+        assert_eq!(calls, 5, "one warm-up call, then one per rep");
+        assert_eq!(samples.len(), 4);
     }
 
     #[test]

@@ -94,9 +94,10 @@ struct Shared {
     /// Sleep/wake plumbing for idle workers.
     sleep: Mutex<()>,
     wake: Condvar,
-    /// Timeline event rings: one per worker plus
-    /// [`ring::EXTERNAL_LANES`] lanes for helping/spawning threads.
-    rings: Vec<ring::Ring>,
+    /// Timeline lanes: one per worker plus [`ring::EXTERNAL_LANES`] for
+    /// helping/spawning threads. The rings behind them are allocated by
+    /// the first recording, not here.
+    lanes: usize,
 }
 
 impl Shared {
@@ -176,10 +177,7 @@ impl Pool {
             next: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             wake: Condvar::new(),
-            rings: {
-                let cap = ring::ring_capacity();
-                (0..nthreads + ring::EXTERNAL_LANES).map(|_| ring::Ring::new(cap)).collect()
-            },
+            lanes: nthreads + ring::EXTERNAL_LANES,
         });
         for me in 0..nthreads {
             let shared = Arc::clone(&shared);
@@ -322,10 +320,10 @@ fn global() -> &'static Pool {
     })
 }
 
-/// The global pool's shared state (starts the pool on first call) — for
-/// the [`ring`] module's lane accessors.
-pub(crate) fn global_shared() -> &'static Shared {
-    &global().shared
+/// Number of timeline lanes (starts the pool on first call) — for the
+/// [`ring`] module.
+pub(crate) fn ring_lanes() -> usize {
+    global().shared.lanes
 }
 
 /// Error from [`set_num_threads`]: the global pool is already running

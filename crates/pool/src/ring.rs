@@ -9,6 +9,19 @@
 //! are what the Perfetto/Chrome trace exporter
 //! (`strassen::probe::timeline`) merges into per-worker lanes.
 //!
+//! # Storage
+//!
+//! The rings are allocated the first time a recording needs them
+//! ([`start_recording`] or [`marks`], and so `timeline::record`), never
+//! at pool start, so a process that never records holds no ring memory
+//! ([`allocated_bytes`] reads 0). There is one ring per lane (pool
+//! workers + [`EXTERNAL_LANES`]) of `STRASSEN_RING_CAP` slots (default
+//! 16,384, at least 64), read at that first allocation; a slot is three
+//! `u64`s, so the rings take `lanes × capacity × 24` bytes (1.9 MiB for
+//! one worker at the default). An event that finds no rings yet is
+//! skipped, so with recording off an instrumented path still pays one
+//! relaxed load.
+//!
 //! # Lock-freedom and memory ordering
 //!
 //! Each lane is written by exactly one thread in the common case
@@ -153,7 +166,7 @@ struct Slot {
 }
 
 /// A fixed-capacity, drop-oldest event ring for one lane.
-pub(crate) struct Ring {
+struct Ring {
     slots: Box<[Slot]>,
     /// Total events ever recorded into this lane (monotonic; the last
     /// `min(head, capacity)` of them are retained).
@@ -164,7 +177,7 @@ pub(crate) struct Ring {
 }
 
 impl Ring {
-    pub(crate) fn new(capacity: usize) -> Ring {
+    fn new(capacity: usize) -> Ring {
         Ring {
             slots: (0..capacity)
                 .map(|_| Slot { ts: AtomicU64::new(0), tag: AtomicU64::new(0), meta: AtomicU64::new(0) })
@@ -185,11 +198,11 @@ impl Ring {
     }
 }
 
-/// Default per-lane capacity (events). Overridable before the pool's
-/// first use via `STRASSEN_RING_CAP`.
+/// Default per-lane capacity (events). Overridable via
+/// `STRASSEN_RING_CAP`, read when the first recording allocates the rings.
 const DEFAULT_CAPACITY: usize = 1 << 14;
 
-pub(crate) fn ring_capacity() -> usize {
+fn ring_capacity() -> usize {
     std::env::var("STRASSEN_RING_CAP")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
@@ -199,6 +212,30 @@ pub(crate) fn ring_capacity() -> usize {
 
 /// Recording gate: one relaxed load on every instrumented pool path.
 static RECORDING: AtomicBool = AtomicBool::new(false);
+
+/// One ring per lane, allocated by the first recording (see the module
+/// docs' *Storage*).
+static RINGS: OnceLock<Box<[Ring]>> = OnceLock::new();
+
+/// The rings, or `None` before the first recording allocated them.
+fn rings() -> Option<&'static [Ring]> {
+    RINGS.get().map(|r| &r[..])
+}
+
+/// The rings, allocated on first call (this starts the pool).
+fn rings_allocated() -> &'static [Ring] {
+    RINGS.get_or_init(|| {
+        let cap = ring_capacity();
+        (0..lane_count()).map(|_| Ring::new(cap)).collect()
+    })
+}
+
+/// Bytes of ring storage this process holds: 0 until the first
+/// recording, then `lanes × capacity × 24`. A hook for the test that
+/// pins the lazy allocation.
+pub fn allocated_bytes() -> usize {
+    rings().map_or(0, |r| r.iter().map(|r| r.slots.len() * std::mem::size_of::<Slot>()).sum())
+}
 
 /// Process-wide timestamp epoch, fixed on first use so every lane's
 /// timestamps share one monotonic origin.
@@ -252,12 +289,13 @@ pub fn is_recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
-/// Turn event recording on. Returns the previous state; callers that
-/// need exclusive sessions (the exporter, the determinism tests) should
-/// serialize among themselves — recording is a global flag, and two
-/// overlapping sessions will see each other's events.
+/// Turn event recording on, allocating the rings on the first call.
+/// Returns the previous state; callers that need exclusive sessions (the
+/// exporter, the determinism tests) should serialize among themselves —
+/// recording is a global flag, and two overlapping sessions will see
+/// each other's events.
 pub fn start_recording() -> bool {
-    global_rings(); // ensure the pool (and its rings) exist
+    rings_allocated();
     RECORDING.swap(true, Ordering::SeqCst)
 }
 
@@ -266,14 +304,10 @@ pub fn stop_recording() -> bool {
     RECORDING.swap(false, Ordering::SeqCst)
 }
 
-fn global_rings() -> &'static [Ring] {
-    &crate::global_shared().rings
-}
-
 /// Number of lanes (pool workers + [`EXTERNAL_LANES`]). Starts the pool
 /// on first call.
 pub fn lane_count() -> usize {
-    global_rings().len()
+    crate::ring_lanes()
 }
 
 /// Number of pool-worker lanes; lanes `>= worker_lanes()` belong to
@@ -283,14 +317,15 @@ pub fn worker_lanes() -> usize {
 }
 
 /// Record an event into the current thread's lane. No-op when recording
-/// is off. Worker threads record into their worker lane; other threads
-/// into an external lane assigned on first use.
+/// is off or the rings are not allocated yet. Worker threads record into
+/// their worker lane; other threads into an external lane assigned on
+/// first use.
 #[inline]
 pub fn record(kind: EventKind, tag: u64, arg: u32) {
     if !is_recording() {
         return;
     }
-    let rings = global_rings();
+    let Some(rings) = rings() else { return };
     let lane = current_lane(rings.len() - EXTERNAL_LANES);
     rings[lane].record(kind, tag, arg);
 }
@@ -299,7 +334,7 @@ pub fn record(kind: EventKind, tag: u64, arg: u32) {
 /// the worker id is already in hand). Recording gate is the caller's job.
 #[inline]
 pub(crate) fn record_worker(me: usize, kind: EventKind, tag: u64, arg: u32) {
-    let rings = global_rings();
+    let Some(rings) = rings() else { return };
     if me < rings.len() - EXTERNAL_LANES {
         rings[me].record(kind, tag, arg);
     } else {
@@ -310,9 +345,10 @@ pub(crate) fn record_worker(me: usize, kind: EventKind, tag: u64, arg: u32) {
 
 /// Per-lane head positions — a cheap cursor into every ring. Take one
 /// before a region and pass it to [`events_since`] after the region
-/// quiesces to extract exactly that region's events.
+/// quiesces to extract exactly that region's events. Allocates the rings
+/// if no recording has yet.
 pub fn marks() -> Vec<u64> {
-    global_rings().iter().map(|r| r.head.load(Ordering::Acquire)).collect()
+    rings_allocated().iter().map(|r| r.head.load(Ordering::Acquire)).collect()
 }
 
 /// Events recorded in each lane since `marks` (per lane: the decoded
@@ -320,7 +356,8 @@ pub fn marks() -> Vec<u64> {
 /// they could be read). Intended for quiescent regions — see the module
 /// docs for the happens-before contract.
 pub fn events_since(marks: &[u64]) -> Vec<(Vec<Event>, u64)> {
-    global_rings()
+    let Some(rings) = rings() else { return vec![(Vec::new(), 0); lane_count()] };
+    rings
         .iter()
         .enumerate()
         .map(|(lane, ring)| {
@@ -352,7 +389,8 @@ pub fn events_since(marks: &[u64]) -> Vec<(Vec<Event>, u64)> {
 /// reconciles exactly against [`crate::pool_stats`] deltas (see the
 /// module-doc table).
 pub fn kind_counts() -> Vec<[u64; KIND_COUNT]> {
-    global_rings().iter().map(|r| std::array::from_fn(|k| r.counts[k].load(Ordering::Relaxed))).collect()
+    let Some(rings) = rings() else { return vec![[0; KIND_COUNT]; lane_count()] };
+    rings.iter().map(|r| std::array::from_fn(|k| r.counts[k].load(Ordering::Relaxed))).collect()
 }
 
 /// Current length of the dependency-edge log (a cursor for
