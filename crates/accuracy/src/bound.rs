@@ -46,14 +46,6 @@ pub enum BoundSchedule {
     /// Winograd's variant (the paper's default): growth 18 per level,
     /// `n₀² + 6n₀`.
     Winograd,
-    /// A coefficient-table ⟨m,k,n⟩ family run through the compiled
-    /// executor: the per-level growth factor is the table's own Higham
-    /// stability quantity `q = max_{ij} Σ_r |w_{r,ij}|·‖u_r‖₁·‖v_r‖₁`
-    /// ([`strassen::FastAlgorithm::stability_q`] — 12 for the 1969
-    /// table, 18 for Winograd's, and the composed value for the stacked
-    /// rectangular families), and the depth simulation ceil-divides each
-    /// dimension by the family's own base case instead of 2.
-    Family(Family),
 }
 
 impl BoundSchedule {
@@ -66,26 +58,21 @@ impl BoundSchedule {
         }
     }
 
-    /// The regime a full configuration runs in. A non-⟨2,2,2⟩
-    /// [`Family`] always resolves to the compiled executor (its
-    /// coefficient table sets the growth); for `F222` the dispatcher
-    /// keeps the hand-scheduled paths and the [`Variant`] decides, as in
-    /// [`BoundSchedule::for_variant`].
+    /// The regime a full configuration runs in: the [`Variant`]
+    /// decides, as in [`BoundSchedule::for_variant`]. The [`Family`]
+    /// argument is ignored; it has one value and stays only for the
+    /// benchmark harness, which passes `StrassenConfig::family`.
     ///
     /// ```
     /// use accuracy::BoundSchedule;
     /// use strassen::{Family, Variant};
-    /// let f222 = BoundSchedule::for_config(Variant::Winograd, Family::F222);
-    /// assert_eq!(f222, BoundSchedule::Winograd);
-    /// let f333 = BoundSchedule::for_config(Variant::Winograd, Family::F333);
-    /// assert_eq!(f333, BoundSchedule::Family(Family::F333));
+    /// let wino = BoundSchedule::for_config(Variant::Winograd, Family::F222);
+    /// assert_eq!(wino, BoundSchedule::Winograd);
+    /// let orig = BoundSchedule::for_config(Variant::Original, Family::F222);
+    /// assert_eq!(orig, BoundSchedule::Strassen);
     /// ```
-    pub fn for_config(variant: Variant, family: Family) -> Self {
-        if family == Family::F222 {
-            Self::for_variant(variant)
-        } else {
-            BoundSchedule::Family(family)
-        }
+    pub fn for_config(variant: Variant, _family: Family) -> Self {
+        Self::for_variant(variant)
     }
 }
 
@@ -130,10 +117,9 @@ pub fn schedule_slack(scheme: Scheme) -> f64 {
 /// [`gemm_bound`].
 ///
 /// The recursion depth is obtained by simulating the criterion with
-/// ceil-divided dimensions (by 2 for the ⟨2,2,2⟩ regimes, by the
-/// family's own base case for [`BoundSchedule::Family`]) — an upper
-/// bound on the depth any odd-handling strategy yields (peeling recurses
-/// on `⌊·/s⌋`, padding on `⌈·/s⌉`), and more depth only enlarges `f`. A
+/// ceil-halved dimensions — an upper bound on the depth any
+/// odd-handling strategy yields (peeling recurses on `⌊·/2⌋`, padding on
+/// `⌈·/2⌉`), and more depth only enlarges `f`. A
 /// [`strassen::StrassenConfig::max_depth`] limit can only lower the true
 /// depth, so the bound stays valid there too.
 pub fn theoretical_bound(
@@ -144,25 +130,17 @@ pub fn theoretical_bound(
     schedule: BoundSchedule,
 ) -> f64 {
     let kf = k as f64;
-    let (grow, c, (dm, dk, dn)) = match schedule {
+    let (grow, c) = match schedule {
         BoundSchedule::Classic => return kf * kf + 2.0 * kf,
-        BoundSchedule::Strassen => (12.0f64, 5.0f64, (2, 2, 2)),
-        BoundSchedule::Winograd => (18.0f64, 6.0f64, (2, 2, 2)),
-        BoundSchedule::Family(fam) => {
-            // The leaf-constant coefficient c is the per-level growth
-            // itself — conservative for every table (the 2×2×2 exact
-            // values are 5 and 6), and exact per family without a
-            // per-table add-count analysis.
-            let q = fam.algorithm().stability_q() as f64;
-            (q, q, fam.dims())
-        }
+        BoundSchedule::Strassen => (12.0f64, 5.0f64),
+        BoundSchedule::Winograd => (18.0f64, 6.0f64),
     };
     let (mut mm, mut kk, mut nn) = (m, k, n);
     let mut depth = 0i32;
     while !cutoff.should_stop(mm, kk, nn) {
-        mm = mm.div_ceil(dm);
-        kk = kk.div_ceil(dk);
-        nn = nn.div_ceil(dn);
+        mm = mm.div_ceil(2);
+        kk = kk.div_ceil(2);
+        nn = nn.div_ceil(2);
         depth += 1;
     }
     let k0 = kk as f64;
@@ -294,34 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn family_regime_generalizes_the_winograd_one() {
-        // F222's compiled table IS Winograd's, so its stability quantity
-        // is the classic 18; the rectangular stacks compose larger ones.
-        assert_eq!(Family::F222.algorithm().stability_q(), 18);
-        for fam in Family::ALL {
-            let q = fam.algorithm().stability_q();
-            assert!((12..=200).contains(&q), "{fam:?}: q = {q}");
-        }
-        // With the same depth the family bound (c = q) dominates the
-        // exact Winograd constant (c = 6): never tighter than the
-        // hand-derived envelope it generalizes.
-        let c = CutoffCriterion::Simple { tau: 16 };
-        let fam = theoretical_bound(64, 64, 64, &c, BoundSchedule::Family(Family::F222));
-        let wino = theoretical_bound(64, 64, 64, &c, BoundSchedule::Winograd);
-        assert!(fam >= wino);
-    }
-
-    #[test]
-    fn family_depth_simulation_uses_the_family_base_case() {
-        // 81 = 3^4 with τ = 3 under ⟨3,3,3⟩: exactly 3 levels before the
-        // simulated dims reach the cutoff, against 5 for ceil-halving.
-        let c = CutoffCriterion::Simple { tau: 3 };
-        let q = Family::F333.algorithm().stability_q() as f64;
-        let f = theoretical_bound(81, 81, 81, &c, BoundSchedule::Family(Family::F333));
-        assert_eq!(f, q.powi(3) * (3.0 * 3.0 + q * 3.0) + 2.0 * 81.0);
-    }
-
-    #[test]
     fn schedule_slack_covers_the_bdpz_schedules_only() {
         assert_eq!(schedule_slack(Scheme::TwoTemp), 2.0);
         assert_eq!(schedule_slack(Scheme::InPlace), 4.0);
@@ -330,38 +280,36 @@ mod tests {
         }
     }
 
-    /// Family/BDPZ analogue of the sweep below: every compiled family
-    /// and both BDPZ schedules stay inside their envelopes.
+    /// BDPZ analogue of the sweep below: both BDPZ schedules, beside
+    /// `Auto`, stay inside their slack-scaled envelopes.
     #[test]
-    fn measured_error_stays_under_bound_for_families_and_schedules() {
+    fn measured_error_stays_under_bound_for_bdpz_schedules() {
         let tau = 8;
         let cutoff = CutoffCriterion::Simple { tau };
         for &n in &[36usize, 54] {
-            for fam in Family::ALL {
-                for scheme in [Scheme::Auto, Scheme::TwoTemp, Scheme::InPlace] {
-                    let cfg = StrassenConfig::dgefmm().family(fam).scheme(scheme).cutoff(cutoff);
-                    let a = random::uniform::<f64>(n, n, 21 + n as u64);
-                    let b = random::uniform::<f64>(n, n, 23 + n as u64);
-                    let mut c = Matrix::zeros(n, n);
-                    dgefmm(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
-                    let reference = crate::oracle::mul_oracle(&a, &b);
-                    let err = norms::max_abs_diff(c.as_ref(), reference.as_ref());
-                    let bound = schedule_slack(scheme)
-                        * gemm_bound(
-                            n,
-                            n,
-                            n,
-                            &cutoff,
-                            BoundSchedule::for_config(Variant::Winograd, fam),
-                            1.0,
-                            norms::max_abs(a.as_ref()),
-                            norms::max_abs(b.as_ref()),
-                            0.0,
-                            0.0,
-                        );
-                    assert!(err <= bound, "n={n} {fam:?} {scheme:?}: measured {err:.3e} > bound {bound:.3e}");
-                    assert!(bound < 1e-2, "n={n} {fam:?}: bound {bound:.3e} is vacuous");
-                }
+            for scheme in [Scheme::Auto, Scheme::TwoTemp, Scheme::InPlace] {
+                let cfg = StrassenConfig::dgefmm().scheme(scheme).cutoff(cutoff);
+                let a = random::uniform::<f64>(n, n, 21 + n as u64);
+                let b = random::uniform::<f64>(n, n, 23 + n as u64);
+                let mut c = Matrix::zeros(n, n);
+                dgefmm(&cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
+                let reference = crate::oracle::mul_oracle(&a, &b);
+                let err = norms::max_abs_diff(c.as_ref(), reference.as_ref());
+                let bound = schedule_slack(scheme)
+                    * gemm_bound(
+                        n,
+                        n,
+                        n,
+                        &cutoff,
+                        BoundSchedule::Winograd,
+                        1.0,
+                        norms::max_abs(a.as_ref()),
+                        norms::max_abs(b.as_ref()),
+                        0.0,
+                        0.0,
+                    );
+                assert!(err <= bound, "n={n} {scheme:?}: measured {err:.3e} > bound {bound:.3e}");
+                assert!(bound < 1e-2, "n={n}: bound {bound:.3e} is vacuous");
             }
         }
     }

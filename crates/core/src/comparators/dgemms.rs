@@ -7,10 +7,9 @@
 //! loop alongside the DGEMMS call; Figure 3's "general case" advantage of
 //! DGEFMM comes from avoiding it).
 
-use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
+use crate::config::{Family, OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
-use crate::fastmm::Family;
 use blas::add::axpby;
 use blas::level2::Op;
 use blas::level3::GemmConfig;

@@ -10,10 +10,9 @@
 //!   what gives DGEMMW its `mn + (mk + kn)/3` general-case memory
 //!   footprint (≈ `5m²/3` square, Table 1) versus DGEFMM's `m²`.
 
-use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
+use crate::config::{Family, OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
-use crate::fastmm::Family;
 use blas::add::axpby;
 use blas::level2::Op;
 use blas::level3::GemmConfig;

@@ -6,10 +6,9 @@
 //! saves — the eq. (4)/(5) gap), vendor-style padding for odd sizes, and
 //! the largest temporary footprint of the codes in Table 1 (`7m²/3`).
 
-use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
+use crate::config::{Family, OddHandling, Scheme, StrassenConfig, Variant};
 use crate::cutoff::CutoffCriterion;
 use crate::dispatch::dgefmm;
-use crate::fastmm::Family;
 use blas::level2::Op;
 use blas::level3::GemmConfig;
 use matrix::{MatMut, MatRef, Scalar};

@@ -2,7 +2,6 @@
 //! handling, cutoff criterion, and base GEMM kernel.
 
 use crate::cutoff::CutoffCriterion;
-use crate::fastmm::Family;
 use blas::GemmConfig;
 
 /// Which 2×2 fast-multiplication construction to recurse with.
@@ -18,6 +17,17 @@ pub enum Variant {
 impl Variant {
     /// Every variant, for config-space sweeps and the differential fuzzer.
     pub const ALL: [Variant; 2] = [Variant::Winograd, Variant::Original];
+}
+
+/// The recursion's base case: always the paper's ⟨2,2,2⟩ split. It has
+/// one value and is kept only because the benchmark harness reads
+/// [`StrassenConfig::family`]; nothing in the library branches on it.
+/// The rectangular families it once selected were measured slower than
+/// ⟨2,2,2⟩ and deleted (DESIGN.md §13).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// Winograd's (or Strassen's) ⟨2,2,2⟩ : 7 split.
+    F222,
 }
 
 /// Which computation schedule carries out the recursion.
@@ -41,7 +51,7 @@ pub enum Scheme {
     /// elements. For `β = 0` the products land directly in `C`'s
     /// quadrants; for `β ≠ 0` it runs the in-place accumulating schedule
     /// (see [`Scheme::InPlace`]). Only effective with
-    /// [`Variant::Winograd`] and the ⟨2,2,2⟩ family.
+    /// [`Variant::Winograd`].
     TwoTemp,
     /// Boyer–Dumas–Pernet–Zhou fully in-place accumulating schedule:
     /// `C ← αAB + βC` with *no* product temporaries for any `β` — a `β`
@@ -49,8 +59,7 @@ pub enum Scheme {
     /// transfer between `C` quadrants through bracketed add passes.
     /// Lowest memory of every general-update schedule (`(mk + kn)/3`
     /// total, below STRASSEN2), at the cost of 20 add passes and a wider
-    /// error envelope. Only effective with [`Variant::Winograd`] and the
-    /// ⟨2,2,2⟩ family.
+    /// error envelope. Only effective with [`Variant::Winograd`].
     InPlace,
 }
 
@@ -120,11 +129,7 @@ pub struct StrassenConfig {
     pub variant: Variant,
     /// Computation schedule.
     pub scheme: Scheme,
-    /// Recursive base case: which ⟨m,k,n⟩ coefficient-table family splits
-    /// each level. [`Family::F222`] (the default) runs the hand-scheduled
-    /// 2×2×2 programs selected by [`StrassenConfig::variant`] and
-    /// [`StrassenConfig::scheme`]; any other family runs its lowered
-    /// table, through the same executor (see `ALGORITHMS.md`).
+    /// Recursive base case; always [`Family::F222`] (see its docs).
     pub family: Family,
     /// Odd-dimension strategy.
     pub odd: OddHandling,
@@ -156,9 +161,7 @@ pub struct StrassenConfig {
     /// write-back kernels instead of the temp-based schedules. Requires
     /// a blocked GEMM kernel, serial or pool-parallel (the parallel one
     /// splits the fused nest's `C` over an `ic × jr` thread grid, bitwise
-    /// equal to serial), and
-    /// the ⟨2,2,2⟩ family; the naive kernel and other families ignore
-    /// the flag.
+    /// equal to serial); the naive kernel ignores the flag.
     pub fused: bool,
 }
 
@@ -262,19 +265,6 @@ impl StrassenConfig {
     /// ```
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
-        self
-    }
-
-    /// Replace the ⟨m,k,n⟩ base-case family.
-    ///
-    /// ```
-    /// use strassen::{Family, StrassenConfig};
-    ///
-    /// let cfg = StrassenConfig::dgefmm().family(Family::F323);
-    /// assert_eq!(cfg.family.dims(), (3, 2, 3));
-    /// ```
-    pub fn family(mut self, family: Family) -> Self {
-        self.family = family;
         self
     }
 

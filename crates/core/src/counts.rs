@@ -10,7 +10,7 @@
 
 use crate::config::{OddHandling, StrassenConfig};
 use crate::probe::PassKind;
-use crate::workspace::{resolve_scheme, ResolvedScheme};
+use crate::workspace::{evenized, resolve_scheme, ResolvedScheme};
 
 /// Predicted execution profile for one `dgefmm` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,8 +23,6 @@ pub struct CallCounts {
     pub gemv_calls: u64,
     /// Scalar dot-product corner fixups from dynamic peeling.
     pub dot_calls: u64,
-    /// Thin GEMM strip fixups (non-⟨2,2,2⟩ family peeling).
-    pub strip_calls: u64,
     /// Elementwise matrix add/subtract passes (the `G` operations).
     pub add_passes: u64,
     /// Recursion nodes that split (schedule applications).
@@ -41,7 +39,6 @@ impl CallCounts {
         self.ger_calls += times * child.ger_calls;
         self.gemv_calls += times * child.gemv_calls;
         self.dot_calls += times * child.dot_calls;
-        self.strip_calls += times * child.strip_calls;
         self.add_passes += times * child.add_passes;
         self.splits += times * child.splits;
         self.pad_copies += times * child.pad_copies;
@@ -84,10 +81,8 @@ fn predict_at(
     }
 
     if cfg.odd == OddHandling::StaticPadding && depth == 0 {
-        let d = crate::workspace::static_padding_depth_for(cfg, m, k, n, beta_zero);
-        let (dm, dk, dn) = cfg.family.dims();
-        let (mp, kp, np) =
-            (m.next_multiple_of(dm.pow(d)), k.next_multiple_of(dk.pow(d)), n.next_multiple_of(dn.pow(d)));
+        let unit = 1 << crate::workspace::static_padding_depth_for(cfg, m, k, n, beta_zero);
+        let (mp, kp, np) = (m.next_multiple_of(unit), k.next_multiple_of(unit), n.next_multiple_of(unit));
         let inner = StrassenConfig { odd: OddHandling::DynamicPadding, ..*cfg };
         if (mp, kp, np) == (m, k, n) {
             return predict_at(&inner, m, k, n, beta_zero, depth);
@@ -102,42 +97,29 @@ fn predict_at(
         return c;
     }
 
-    let (dm, dk, dn) = cfg.family.dims();
-    let odd = m % dm != 0 || k % dk != 0 || n % dn != 0;
-    if odd {
+    let (me, ke, ne) = evenized(cfg, m, k, n);
+    if (me, ke, ne) != (m, k, n) {
         match cfg.odd {
             OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst => {
-                let (me, ke, ne) = (m - m % dm, k - k % dk, n - n % dn);
                 out = predict_at(cfg, me, ke, ne, beta_zero, depth);
-                if cfg.family == crate::fastmm::Family::F222 {
-                    if ke != k {
-                        out.ger_calls += 1;
-                    }
-                    if ne != n {
-                        out.gemv_calls += 1;
-                    }
-                    if me != m {
-                        out.gemv_calls += 1;
-                    }
-                    if me != m && ne != n {
-                        out.dot_calls += 1;
-                    }
-                } else {
-                    // Wider family residues fold back in as thin GEMM
-                    // strips: one each for the k/n/m residues plus the
-                    // m×n corner.
-                    out.strip_calls += u64::from(ke != k)
-                        + u64::from(ne != n)
-                        + u64::from(me != m)
-                        + u64::from(me != m && ne != n);
+                if ke != k {
+                    out.ger_calls += 1;
+                }
+                if ne != n {
+                    out.gemv_calls += 1;
+                }
+                if me != m {
+                    out.gemv_calls += 1;
+                }
+                if me != m && ne != n {
+                    out.dot_calls += 1;
                 }
                 return out;
             }
             OddHandling::DynamicPadding | OddHandling::StaticPadding => {
-                let (mp, kp, np) = (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn));
                 // The padded product runs β=0 into scratch, then writes
                 // back: an add pass when β ≠ 0, a plain copy otherwise.
-                let mut c = predict_at(cfg, mp, kp, np, true, depth);
+                let mut c = predict_at(cfg, me, ke, ne, true, depth);
                 c.pad_copies += 1;
                 if !beta_zero {
                     c.add_passes += 1;
@@ -155,7 +137,7 @@ fn predict_at(
     out.splits = 1;
     let prog = scheme.program();
     out.add_passes = prog.passes(PassKind::Add, beta_zero, |_| true);
-    let (m2, k2, n2) = (m / dm, k / dk, n / dn);
+    let (m2, k2, n2) = (m / 2, k / 2, n / 2);
     let (zero_children, general_children) = prog.child_mix(beta_zero);
     for (count, bz) in [(zero_children, true), (general_children, false)] {
         if count > 0 {

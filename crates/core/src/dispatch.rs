@@ -2,13 +2,11 @@
 
 use crate::config::{OddHandling, StrassenConfig};
 use crate::cutoff::{CutoffCriterion, StopReason};
-use crate::fastmm::Family;
 use crate::schedules::{exec, fused};
 use crate::trace;
 use crate::trace::add::axpby;
 use crate::workspace::{
-    required_workspace, resolve_scheme, tls_arena_capacity_elements, with_tls_arena, ResolvedScheme,
-    Workspace,
+    evenized, required_workspace, resolve_scheme, with_tls_arena, ResolvedScheme, Workspace,
 };
 use crate::{pad, peel};
 use blas::level2::Op;
@@ -33,10 +31,7 @@ use std::time::Instant;
 /// [`required_workspace`] consults the same predicate and reserves
 /// nothing for a fused level.
 pub(crate) fn fuse_last_level(cfg: &StrassenConfig, m: usize, k: usize, n: usize, depth: usize) -> bool {
-    if !cfg.fused
-        || !matches!(cfg.gemm.algo, GemmAlgo::Blocked | GemmAlgo::BlockedParallel)
-        || cfg.family != Family::F222
-    {
+    if !cfg.fused || !matches!(cfg.gemm.algo, GemmAlgo::Blocked | GemmAlgo::BlockedParallel) {
         return false;
     }
     if m % 2 != 0 || k % 2 != 0 || n % 2 != 0 || m == 0 || k == 0 || n == 0 {
@@ -118,25 +113,13 @@ pub(crate) fn fmm<T: Scalar>(
         return;
     }
 
-    let (dm, dk, dn) = cfg.family.dims();
-    if m % dm != 0 || k % dk != 0 || n % dn != 0 {
-        // The ⟨2,2,2⟩ residues are single rows/columns, handled with the
-        // paper's GER/GEMV/dot fixups; wider family residues fold back in
-        // as thin GEMM strips.
-        match (cfg.odd, cfg.family == Family::F222) {
-            (OddHandling::DynamicPeeling, true) => {
-                peel::multiply_peeled(cfg, alpha, a, b, beta, c, ws, depth)
-            }
-            (OddHandling::DynamicPeelingFirst, true) => {
+    if m % 2 != 0 || k % 2 != 0 || n % 2 != 0 {
+        match cfg.odd {
+            OddHandling::DynamicPeeling => peel::multiply_peeled(cfg, alpha, a, b, beta, c, ws, depth),
+            OddHandling::DynamicPeelingFirst => {
                 peel::multiply_peeled_first(cfg, alpha, a, b, beta, c, ws, depth)
             }
-            (OddHandling::DynamicPeeling, false) => {
-                peel::multiply_peeled_strips(cfg, alpha, a, b, beta, c, ws, depth)
-            }
-            (OddHandling::DynamicPeelingFirst, false) => {
-                peel::multiply_peeled_strips_first(cfg, alpha, a, b, beta, c, ws, depth)
-            }
-            (OddHandling::DynamicPadding | OddHandling::StaticPadding, _) => {
+            OddHandling::DynamicPadding | OddHandling::StaticPadding => {
                 pad::multiply_padded(cfg, alpha, a, b, beta, c, ws, depth)
             }
         }
@@ -222,26 +205,39 @@ pub fn dgefmm<T: Scalar>(
     let b_extra = if op_b == Op::Trans { ka * n } else { 0 };
     let ws_elems = required_workspace(cfg, m, ka, n, beta == T::ZERO);
     let call_timer = trace::active().then(Instant::now);
-    let staging_ns = with_tls_arena::<T, _>(ws_elems + a_extra + b_extra, |arena| {
+    with_tls_arena::<T, _>(ws_elems + a_extra + b_extra, |arena, capacity| {
         let (a_buf, rest) = arena.split_at_mut(a_extra);
         let (b_buf, ws) = rest.split_at_mut(b_extra);
         let stage_timer = call_timer.map(|_| Instant::now());
         let a_eff = stage_transposed(op_a, a, a_buf);
         let b_eff = stage_transposed(op_b, b, b_buf);
         let staging_ns = stage_timer.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        trace::call_start(m, ka, n, beta == T::ZERO, ws.len());
-        // Timeline bracket: Mark(arg=0/1) events bound the whole dgefmm
-        // call in the exported trace (the caller's lane). Pure
-        // observation — no effect on scheduling or arithmetic.
-        pool::ring::record(pool::ring::EventKind::Mark, 0, 0);
-        fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, 0);
-        pool::ring::record(pool::ring::EventKind::Mark, 0, 1);
-        staging_ns
+        bracketed_fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, (call_timer, staging_ns, capacity));
     });
+}
+
+/// The recursion on plain operands, inside the bracket both entry points
+/// record: the probe's `call_start`/`call_end`, and on the caller's
+/// timeline lane a `Mark` of arg 0 before the recursion and one of arg 1
+/// after it. Pure observation: no effect on scheduling or arithmetic.
+/// The last argument is the call's timer (set when a probe is
+/// installed), its staging time, and the arena capacity it leaves.
+fn bracketed_fmm<T: Scalar>(
+    cfg: &StrassenConfig,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+    ws: &mut [T],
+    (call_timer, staging_ns, capacity): (Option<Instant>, u64, usize),
+) {
+    trace::call_start(a.nrows(), a.ncols(), b.ncols(), beta == T::ZERO, ws.len());
+    pool::ring::record(pool::ring::EventKind::Mark, 0, 0);
+    fmm(cfg, alpha, a, b, beta, c, ws, 0);
+    pool::ring::record(pool::ring::EventKind::Mark, 0, 1);
     if let Some(timer) = call_timer {
-        // Emitted after the arena is back in thread-local storage, so the
-        // reported capacity includes any growth this call caused.
-        trace::call_end(timer.elapsed().as_nanos() as u64, staging_ns, tls_arena_capacity_elements::<T>());
+        trace::call_end(timer.elapsed().as_nanos() as u64, staging_ns, capacity);
     }
 }
 
@@ -287,12 +283,8 @@ pub fn dgefmm_with_workspace<T: Scalar>(
 
     ws.reserve_for(cfg, m, ka, n, beta == T::ZERO);
     let ws = ws.as_mut_slice();
-    trace::call_start(m, ka, n, beta == T::ZERO, ws.len());
     let capacity = ws.len();
-    fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, 0);
-    if let Some(timer) = call_timer {
-        trace::call_end(timer.elapsed().as_nanos() as u64, staging_ns, capacity);
-    }
+    bracketed_fmm(cfg, alpha, a_eff, b_eff, beta, c, ws, (call_timer, staging_ns, capacity));
 }
 
 /// Workspace elements [`dgefmm`] will draw for an `(m, k, n)` product —
@@ -319,14 +311,8 @@ pub fn planned_depth(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> u32 
         if depth >= cfg.max_depth || cfg.cutoff.should_stop(m, k, n) {
             return 0;
         }
-        let (dm, dk, dn) = cfg.family.dims();
-        let (me, ke, ne) = match cfg.odd {
-            OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst => {
-                (m - m % dm, k - k % dk, n - n % dn)
-            }
-            _ => (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn)),
-        };
-        1 + go(cfg, me / dm, ke / dk, ne / dn, depth + 1)
+        let (me, ke, ne) = evenized(cfg, m, k, n);
+        1 + go(cfg, me / 2, ke / 2, ne / 2, depth + 1)
     }
     go(cfg, m, k, n, 0)
 }

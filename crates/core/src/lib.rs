@@ -41,7 +41,6 @@ pub mod config;
 pub mod counts;
 pub mod cutoff;
 mod dispatch;
-pub mod fastmm;
 mod pad;
 mod peel;
 pub mod probe;
@@ -51,12 +50,11 @@ pub mod tuning;
 pub mod workspace;
 
 pub use backend::{GemmBackend, MatMul, StrassenBackend, TimingBackend};
-pub use config::{OddHandling, Scheme, StrassenConfig, Variant};
+pub use config::{Family, OddHandling, Scheme, StrassenConfig, Variant};
 pub use cutoff::{CutoffCriterion, StopReason};
 pub use dispatch::{
     criterion_tau, dgefmm, dgefmm_with_workspace, multiply, planned_depth, workspace_elements,
 };
-pub use fastmm::{CompiledSchedule, Family, FastAlgorithm};
 pub use probe::{NoopProbe, Phase, Probe, Profile, TimedProbe, Trace, TraceProbe};
 pub use workspace::{
     required_workspace, resolve_scheme, tls_arena_capacity_elements, total_temp_elements, ResolvedScheme,

@@ -16,9 +16,9 @@ fn padded_copy<T: Scalar>(src: MatRef<'_, T>, rows: usize, cols: usize) -> Matri
     out
 }
 
-/// Dynamic padding (Douglas et al.): zero-pad each non-divisible
-/// dimension *at this level* up to the family's base-case unit, multiply
-/// the padded copies, and copy the valid region back.
+/// Dynamic padding (Douglas et al.): zero-pad each odd dimension *at
+/// this level* to the next even size, multiply the padded copies, and
+/// copy the valid region back.
 pub(crate) fn multiply_padded<T: Scalar>(
     cfg: &StrassenConfig,
     alpha: T,
@@ -31,9 +31,8 @@ pub(crate) fn multiply_padded<T: Scalar>(
 ) {
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
-    let (dm, dk, dn) = cfg.family.dims();
-    let (mp, kp, np) = (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn));
-    debug_assert!((mp, kp, np) != (m, k, n), "pad called on divisible dims");
+    let (mp, kp, np) = (m.next_multiple_of(2), k.next_multiple_of(2), n.next_multiple_of(2));
+    debug_assert!((mp, kp, np) != (m, k, n), "pad called on even dims");
 
     let t = trace::span_timer();
     let ap = padded_copy(a, mp, kp);
@@ -48,8 +47,8 @@ pub(crate) fn multiply_padded<T: Scalar>(
 }
 
 /// Static padding (Strassen's original suggestion): pad once, up front,
-/// to multiples of `fm^d / fk^d / fn^d` so that every one of the `d`
-/// planned recursion levels sees divisible dimensions.
+/// to multiples of `2^d` so that every one of the `d` planned recursion
+/// levels sees even dimensions.
 pub(crate) fn multiply_static_padded<T: Scalar>(
     cfg: &StrassenConfig,
     alpha: T,
@@ -62,10 +61,8 @@ pub(crate) fn multiply_static_padded<T: Scalar>(
 ) {
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
-    let d = static_padding_depth_for(cfg, m, k, n, beta == T::ZERO);
-    let (dm, dk, dn) = cfg.family.dims();
-    let (mp, kp, np) =
-        (m.next_multiple_of(dm.pow(d)), k.next_multiple_of(dk.pow(d)), n.next_multiple_of(dn.pow(d)));
+    let unit = 1 << static_padding_depth_for(cfg, m, k, n, beta == T::ZERO);
+    let (mp, kp, np) = (m.next_multiple_of(unit), k.next_multiple_of(unit), n.next_multiple_of(unit));
 
     // Below the top level dimensions stay even by construction; if the
     // cutoff fires later than planned and an odd size sneaks through,

@@ -21,7 +21,6 @@ use crate::probe::FixupKind;
 use crate::trace;
 use blas::level1::dot;
 use blas::level2::{gemv, ger, Op};
-use blas::level3::gemm;
 use blas::{VecMut, VecRef};
 use matrix::{MatMut, MatRef, Scalar};
 
@@ -155,202 +154,5 @@ pub(crate) fn multiply_peeled_first<T: Scalar>(
         let v = if beta == T::ZERO { prod } else { prod + beta * c.at(0, 0) };
         c.set(0, 0, v);
         trace::peel(depth, FixupKind::Dot, trace::span_ns(t));
-    }
-}
-
-/// Dynamic peeling generalized to an ⟨fm,fk,fn⟩ base case: the core is
-/// the largest `(me, ke, ne)` with each dimension a multiple of its
-/// family unit, and the residues (up to `fm−1` rows / `fk−1` inner
-/// columns / `fn−1` columns wide) fold back in as *thin GEMM strips* —
-/// eq. (9)'s structure with the rank-one/vector fixups promoted to
-/// rank-≤`fk−1` and width-≤`fn−1` panels, each output region still
-/// touched exactly once:
-///
-/// * `k` residue — `C̄ += α A[:, ke..] B[ke.., :]` over the core output;
-/// * `n` residue — trailing columns of `C` over the **full** `k`;
-/// * `m` residue — trailing rows of `C` (first `ne` columns) over the
-///   full `k`;
-/// * `m` *and* `n` residues — the trailing corner block over the full `k`.
-pub(crate) fn multiply_peeled_strips<T: Scalar>(
-    cfg: &StrassenConfig,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    ws: &mut [T],
-    depth: usize,
-) {
-    let (m, k) = (a.nrows(), a.ncols());
-    let n = b.ncols();
-    let (fm, fk, fnn) = cfg.family.dims();
-    let (me, ke, ne) = (m - m % fm, k - k % fk, n - n % fnn);
-    debug_assert!((me, ke, ne) != (m, k, n), "strip peel called on divisible dims");
-
-    // Divisible core (recursion re-enters the dispatcher).
-    fmm(
-        cfg,
-        alpha,
-        a.submatrix(0, 0, me, ke),
-        b.submatrix(0, 0, ke, ne),
-        beta,
-        c.submatrix_mut(0, 0, me, ne),
-        ws,
-        depth,
-    );
-
-    // k residue: rank-(k−ke) update of the core output.
-    if ke != k {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(0, ke, me, k - ke),
-            Op::NoTrans,
-            b.submatrix(ke, 0, k - ke, ne),
-            T::ONE,
-            c.submatrix_mut(0, 0, me, ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    // n residue: trailing columns of C over the full inner dimension.
-    if ne != n {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(0, 0, me, k),
-            Op::NoTrans,
-            b.submatrix(0, ne, k, n - ne),
-            beta,
-            c.submatrix_mut(0, ne, me, n - ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    // m residue: trailing rows of C (first ne columns) over the full k.
-    if me != m {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(me, 0, m - me, k),
-            Op::NoTrans,
-            b.submatrix(0, 0, k, ne),
-            beta,
-            c.submatrix_mut(me, 0, m - me, ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    // m and n residues: the trailing corner block over the full k.
-    if me != m && ne != n {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(me, 0, m - me, k),
-            Op::NoTrans,
-            b.submatrix(0, ne, k, n - ne),
-            beta,
-            c.submatrix_mut(me, ne, m - me, n - ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-}
-
-/// [`multiply_peeled_strips`] stripping *leading* rows/columns instead —
-/// the family generalization of [`multiply_peeled_first`].
-pub(crate) fn multiply_peeled_strips_first<T: Scalar>(
-    cfg: &StrassenConfig,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    ws: &mut [T],
-    depth: usize,
-) {
-    let (m, k) = (a.nrows(), a.ncols());
-    let n = b.ncols();
-    let (fm, fk, fnn) = cfg.family.dims();
-    let (om, ok, on) = (m % fm, k % fk, n % fnn);
-    let (me, ke, ne) = (m - om, k - ok, n - on);
-    debug_assert!(om + ok + on > 0, "strip peel-first called on divisible dims");
-
-    fmm(
-        cfg,
-        alpha,
-        a.submatrix(om, ok, me, ke),
-        b.submatrix(ok, on, ke, ne),
-        beta,
-        c.submatrix_mut(om, on, me, ne),
-        ws,
-        depth,
-    );
-
-    if ok > 0 {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(om, 0, me, ok),
-            Op::NoTrans,
-            b.submatrix(0, on, ok, ne),
-            T::ONE,
-            c.submatrix_mut(om, on, me, ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    if on > 0 {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(om, 0, me, k),
-            Op::NoTrans,
-            b.submatrix(0, 0, k, on),
-            beta,
-            c.submatrix_mut(om, 0, me, on),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    if om > 0 {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(0, 0, om, k),
-            Op::NoTrans,
-            b.submatrix(0, on, k, ne),
-            beta,
-            c.submatrix_mut(0, on, om, ne),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
-    }
-
-    if om > 0 && on > 0 {
-        let t = trace::span_timer();
-        gemm(
-            &cfg.gemm,
-            alpha,
-            Op::NoTrans,
-            a.submatrix(0, 0, om, k),
-            Op::NoTrans,
-            b.submatrix(0, 0, k, on),
-            beta,
-            c.submatrix_mut(0, 0, om, on),
-        );
-        trace::peel(depth, FixupKind::Strip, trace::span_ns(t));
     }
 }

@@ -191,9 +191,6 @@ pub enum FixupKind {
     Gemv,
     /// Corner dot product when both `m` and `n` are odd.
     Dot,
-    /// Thin GEMM strip for a non-⟨2,2,2⟩ family residue (up to
-    /// `fm−1`/`fk−1`/`fn−1` rows or columns wide).
-    Strip,
 }
 
 /// One dynamic-peeling fixup (paper eq. (9)).

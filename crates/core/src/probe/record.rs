@@ -90,8 +90,6 @@ pub struct LevelStats {
     pub gemv_fixups: u64,
     /// Dynamic-peeling corner dot-product fixups.
     pub dot_fixups: u64,
-    /// Thin GEMM strip fixups (non-⟨2,2,2⟩ family residues).
-    pub strip_fixups: u64,
     /// Padded multiplies staged at this depth.
     pub pad_multiplies: u64,
     /// Elements of padded scratch allocated at this depth.
@@ -189,11 +187,6 @@ impl Trace {
         self.levels.iter().map(|l| l.dot_fixups).sum()
     }
 
-    /// Thin GEMM strip fixups from family peeling.
-    pub fn strip_calls(&self) -> u64 {
-        self.levels.iter().map(|l| l.strip_fixups).sum()
-    }
-
     /// Padded multiplies staged (dynamic/static padding only).
     pub fn pad_copies(&self) -> u64 {
         self.levels.iter().map(|l| l.pad_multiplies).sum()
@@ -229,7 +222,6 @@ impl Trace {
             ger_calls: self.ger_calls(),
             gemv_calls: self.gemv_calls(),
             dot_calls: self.dot_calls(),
-            strip_calls: self.strip_calls(),
             add_passes: self.add_passes(),
             splits: self.splits(),
             pad_copies: self.pad_copies(),
@@ -313,7 +305,6 @@ impl Probe for TraceProbe {
             FixupKind::Ger => level.ger_fixups += 1,
             FixupKind::Gemv => level.gemv_fixups += 1,
             FixupKind::Dot => level.dot_fixups += 1,
-            FixupKind::Strip => level.strip_fixups += 1,
         }
     }
 

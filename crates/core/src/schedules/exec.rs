@@ -28,8 +28,7 @@ use pool::dag::DagBuilder;
 use pool::ring::tag::strassen_node;
 
 /// `C ← α A B + β C` through one level of `prog`; every dimension is
-/// divisible by the program's grid, and `ws` holds the program's
-/// workspace plus its children's.
+/// even, and `ws` holds the program's workspace plus its children's.
 pub(crate) fn run<T: Scalar>(
     cfg: &StrassenConfig,
     prog: &Program,
@@ -42,9 +41,8 @@ pub(crate) fn run<T: Scalar>(
     depth: usize,
 ) {
     let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
-    let (gm, gk, gn) = prog.grid();
-    debug_assert!(m % gm == 0 && k % gk == 0 && n % gn == 0);
-    let blocks = prog.blocks(m, k, n);
+    debug_assert!(m % 2 == 0 && k % 2 == 0 && n % 2 == 0);
+    let blocks = (m / 2, k / 2, n / 2);
     let carve = prog.carve(blocks);
     let (tmp, rest) = ws.split_at_mut(carve[MAX_TEMPS]);
     let dag = prog.runs_as_dag(cfg, depth);
@@ -54,7 +52,6 @@ pub(crate) fn run<T: Scalar>(
         c: (c.as_mut_ptr(), c.ld()),
         dims: (m, n),
         blocks,
-        grid: (gk, gn),
         tmp: tmp.as_mut_ptr(),
         carve,
         rest: (rest.as_mut_ptr(), rest.len()),
@@ -93,8 +90,6 @@ struct Frame<T> {
     /// `C`'s `(m, n)`.
     dims: (usize, usize),
     blocks: (usize, usize, usize),
-    /// `(k̂, n̂)`: blocks per row of `A`, and of `B` and `C`.
-    grid: (usize, usize),
     tmp: *mut T,
     carve: [usize; MAX_TEMPS + 1],
     rest: (*mut T, usize),
@@ -159,14 +154,14 @@ impl<T: Scalar> Frame<T> {
     /// ever read through ([`Program::new`] rejects writes to them).
     fn parts(&self, s: Slot) -> (*mut T, usize, usize, usize) {
         let (bm, bk, bn) = self.blocks;
-        let block = |(p, ld): (*const T, usize), i: u8, per_row: usize, (rows, cols): (usize, usize)| {
-            let (i, j) = (i as usize / per_row, i as usize % per_row);
+        let block = |(p, ld): (*const T, usize), i: u8, (rows, cols): (usize, usize)| {
+            let (i, j) = (i as usize / 2, i as usize % 2);
             (p.wrapping_add(i * rows + j * cols * ld) as *mut T, rows, cols, ld)
         };
         match s {
-            Slot::A(i) => block(self.a, i, self.grid.0, (bm, bk)),
-            Slot::B(i) => block(self.b, i, self.grid.1, (bk, bn)),
-            Slot::C(i) => block((self.c.0, self.c.1), i, self.grid.1, (bm, bn)),
+            Slot::A(i) => block(self.a, i, (bm, bk)),
+            Slot::B(i) => block(self.b, i, (bk, bn)),
+            Slot::C(i) => block((self.c.0, self.c.1), i, (bm, bn)),
             Slot::WholeC => (self.c.0, self.dims.0, self.dims.1, self.c.1),
             Slot::Tmp(t, shape) => {
                 let (rows, cols) = shape.dims(self.blocks);

@@ -5,7 +5,6 @@
 //! task DAG. The fused last level ([`fused`]) is the separate
 //! block-product table the packed GEMM nest consumes.
 
-pub(crate) mod compiled;
 pub(crate) mod exec;
 pub(crate) mod fused;
 pub(crate) mod original;
@@ -33,7 +32,6 @@ impl ResolvedScheme {
             ResolvedScheme::SevenTemp => &seven_temp::SEVEN_TEMP,
             ResolvedScheme::TwoTempBetaZero => &two_temp::TWO_TEMP_BETA_ZERO,
             ResolvedScheme::InPlaceAccumulate => &two_temp::IN_PLACE,
-            ResolvedScheme::Compiled(fam) => fam.compiled().program(),
         }
     }
 }

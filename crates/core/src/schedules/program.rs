@@ -36,9 +36,9 @@ impl Shape {
     }
 }
 
-/// An operand. Block indices are flat row-major in the grid: `A` block
-/// `(i, l)` is `i·k̂ + l`, so `A(1)` is `A₁₂` on ⟨2,2,2⟩. A temporary's
-/// view has leading dimension equal to its row count.
+/// An operand. Block indices are flat row-major in the 2×2 grid: `A`
+/// block `(i, l)` is `2i + l`, so `A(1)` is `A₁₂`. A temporary's view
+/// has leading dimension equal to its row count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Slot {
     A(u8),
@@ -146,10 +146,10 @@ pub(crate) struct Node {
     pub(crate) ops: Vec<Op>,
 }
 
-/// One recursion level of a schedule plus what is derived from it.
+/// One ⟨2,2,2⟩ recursion level of a schedule plus what is derived from
+/// it.
 #[derive(Clone, Debug)]
 pub(crate) struct Program {
-    grid: (usize, usize, usize),
     nodes: Vec<Node>,
     dag: bool,
     /// Per temporary, whether it is used at each [`Shape`].
@@ -159,11 +159,11 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// A ⟨2,2,2⟩ program; `dag` marks the one schedule that runs as a
-    /// task DAG inside `parallel_depth`.
+    /// A program from named op lists; `dag` marks the one schedule that
+    /// runs as a task DAG inside `parallel_depth`.
     pub(crate) fn hand(dag: bool, nodes: &[(&str, &[Op])]) -> Self {
         let nodes = nodes.iter().map(|&(name, ops)| Node { name: name.into(), ops: ops.to_vec() });
-        Self::new((2, 2, 2), dag, nodes.collect())
+        Self::new(dag, nodes.collect())
     }
 
     /// Check the ops and derive temporaries, edges and hints.
@@ -172,17 +172,16 @@ impl Program {
     /// If an op writes `A` or `B`, its destination overlaps a source,
     /// its operand shapes disagree, a block leaves the grid, or more than
     /// [`MAX_TEMPS`] temporaries are used.
-    pub(crate) fn new(grid: (usize, usize, usize), dag: bool, nodes: Vec<Node>) -> Self {
-        let (gm, gk, gn) = grid;
+    fn new(dag: bool, nodes: Vec<Node>) -> Self {
         let mut temps: Vec<[bool; 3]> = Vec::new();
         for op in nodes.iter().flat_map(|n| &n.ops) {
             let (dst, src) = op.slots();
             assert!(!matches!(dst, Slot::A(_) | Slot::B(_)), "{op:?} writes an input");
             assert!(src.iter().flatten().all(|s| !s.overlaps(dst)), "{op:?} aliases its destination");
             let mut shape = |s| match s {
-                Slot::A(i) if (i as usize) < gm * gk => Some(Shape::Mk),
-                Slot::B(i) if (i as usize) < gk * gn => Some(Shape::Kn),
-                Slot::C(i) if (i as usize) < gm * gn => Some(Shape::Mn),
+                Slot::A(i) if i < 4 => Some(Shape::Mk),
+                Slot::B(i) if i < 4 => Some(Shape::Kn),
+                Slot::C(i) if i < 4 => Some(Shape::Mn),
                 Slot::WholeC => None,
                 Slot::Tmp(t, shape) if (t as usize) < MAX_TEMPS => {
                     temps.resize(temps.len().max(t as usize + 1), [false; 3]);
@@ -199,7 +198,7 @@ impl Program {
                 assert!(s.is_none_or(|s| shape(s) == w), "{op:?} mixes shapes");
             }
         }
-        let mut prog = Self { grid, nodes, dag, temps, deps: Vec::new(), hints: Vec::new() };
+        let mut prog = Self { nodes, dag, temps, deps: Vec::new(), hints: Vec::new() };
         prog.deps = prog.derive_deps();
         prog.hints = prog.derive_hints();
         prog
@@ -220,17 +219,11 @@ impl Program {
             .iter()
             .map(|n| Node { name: n.name.clone(), ops: n.ops.iter().map(|op| op.map(stage)).collect() })
             .collect();
-        let (gm, _, gn) = self.grid;
-        nodes.extend((0..(gm * gn) as u8).map(|i| Node {
-            name: format!("c{}{}", i as usize / gn + 1, i as usize % gn + 1),
+        nodes.extend((0..4u8).map(|i| Node {
+            name: format!("c{}{}", i / 2 + 1, i % 2 + 1),
             ops: vec![Op::Axpby(Coef::One, stage(Slot::C(i)), Coef::Beta, Slot::C(i))],
         }));
-        Self::new(self.grid, self.dag, nodes)
-    }
-
-    /// The base-case split ⟨m̂,k̂,n̂⟩.
-    pub(crate) fn grid(&self) -> (usize, usize, usize) {
-        self.grid
+        Self::new(self.dag, nodes)
     }
 
     pub(crate) fn nodes(&self) -> &[Node] {
@@ -252,11 +245,6 @@ impl Program {
         self.dag && depth < cfg.parallel_depth
     }
 
-    /// Block dimensions `(bm, bk, bn)` of an `(m, k, n)` level.
-    pub(crate) fn blocks(&self, m: usize, k: usize, n: usize) -> (usize, usize, usize) {
-        (m / self.grid.0, k / self.grid.1, n / self.grid.2)
-    }
-
     /// Temporary `t` occupies `[carve[t], carve[t + 1])` of the level's
     /// workspace: each temporary at the largest shape it is used at.
     pub(crate) fn carve(&self, blocks: (usize, usize, usize)) -> [usize; MAX_TEMPS + 1] {
@@ -271,7 +259,7 @@ impl Program {
 
     /// Workspace one level draws for a divisible `(m, k, n)`.
     pub(crate) fn workspace_elements(&self, m: usize, k: usize, n: usize) -> usize {
-        self.carve(self.blocks(m, k, n))[MAX_TEMPS]
+        self.carve((m / 2, k / 2, n / 2))[MAX_TEMPS]
     }
 
     /// Passes of `kind` one level executes in the given β class into a
@@ -386,7 +374,6 @@ pub(crate) mod quad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmm::Family;
     use crate::workspace::{per_level_elements, ResolvedScheme as R};
 
     /// The numbers the programs derive, as literals: add passes per β
@@ -396,33 +383,24 @@ mod tests {
     fn derived_counts_match_the_closed_forms() {
         // ⟨2,2,2⟩ at (12, 8, 20): quadrants 6×4, 4×10, 6×10.
         let (mk, kn, mn, x1) = (6 * 4, 4 * 10, 6 * 10, 6 * 10); // x1 = m/2·max(k/2, n/2)
-        let blocks = |f: Family, (m, k, n): (usize, usize, usize)| {
-            let (dm, dk, dn) = f.dims();
-            (m / dm) * (k / dk) + (k / dk) * (n / dn) + (m / dm) * (n / dn)
-        };
         #[rustfmt::skip]
         let rows = [
-            (R::Strassen1BetaZero, (15, 15), (7, 0), (12, 8, 20), x1 + kn),
+            (R::Strassen1BetaZero, (15, 15), (7, 0), x1 + kn),
             // The four `C ← Q + βC` folds are copies when β = 0.
-            (R::Strassen1General, (15, 19), (7, 0), (12, 8, 20), x1 + kn + 4 * mn),
-            (R::Strassen2, (14, 14), (2, 5), (12, 8, 20), mk + kn + mn),
-            (R::OriginalBetaZero, (18, 18), (7, 0), (12, 8, 20), mk + kn + mn),
-            (R::OriginalGeneral, (18, 18), (7, 0), (12, 8, 20), mk + kn + mn + 4 * mn),
-            (R::SevenTemp, (19, 19), (7, 0), (12, 8, 20), 4 * mk + 4 * kn + 7 * mn),
-            (R::TwoTempBetaZero, (13, 13), (4, 3), (12, 8, 20), mk + kn),
-            (R::InPlaceAccumulate, (20, 20), (0, 7), (12, 8, 20), mk + kn),
-            (R::Compiled(Family::F222), (24, 28), (7, 0), (12, 8, 20), blocks(Family::F222, (12, 8, 20))),
-            (R::Compiled(Family::F223), (20, 26), (11, 0), (12, 8, 18), blocks(Family::F223, (12, 8, 18))),
-            (R::Compiled(Family::F323), (23, 32), (17, 0), (9, 8, 12), blocks(Family::F323, (9, 8, 12))),
-            (R::Compiled(Family::F234), (44, 52), (22, 0), (8, 9, 16), blocks(Family::F234, (8, 9, 16))),
-            (R::Compiled(Family::F333), (32, 41), (26, 0), (9, 12, 15), blocks(Family::F333, (9, 12, 15))),
+            (R::Strassen1General, (15, 19), (7, 0), x1 + kn + 4 * mn),
+            (R::Strassen2, (14, 14), (2, 5), mk + kn + mn),
+            (R::OriginalBetaZero, (18, 18), (7, 0), mk + kn + mn),
+            (R::OriginalGeneral, (18, 18), (7, 0), mk + kn + mn + 4 * mn),
+            (R::SevenTemp, (19, 19), (7, 0), 4 * mk + 4 * kn + 7 * mn),
+            (R::TwoTempBetaZero, (13, 13), (4, 3), mk + kn),
+            (R::InPlaceAccumulate, (20, 20), (0, 7), mk + kn),
         ];
-        for (scheme, adds, mix, (m, k, n), elems) in rows {
+        for (scheme, adds, mix, elems) in rows {
             let prog = scheme.program();
             let derived = [true, false].map(|bz| prog.passes(PassKind::Add, bz, |_| true));
             assert_eq!(derived, [adds.0, adds.1], "{scheme:?} add passes");
             assert_eq!([prog.child_mix(true), prog.child_mix(false)], [mix; 2], "{scheme:?} children");
-            assert_eq!(per_level_elements(scheme, m, k, n), elems, "{scheme:?} per-level elements");
+            assert_eq!(per_level_elements(scheme, 12, 8, 20), elems, "{scheme:?} per-level elements");
         }
     }
 
@@ -437,8 +415,7 @@ mod tests {
             !Slot::Tmp(0, Shape::Mk).overlaps(Slot::Tmp(1, Shape::Mk)) && !Slot::C(1).overlaps(Slot::C(2))
         );
         let hand = [R::Strassen1BetaZero, R::Strassen1General, R::Strassen2, R::OriginalBetaZero];
-        let hand = hand.into_iter().chain([R::SevenTemp, R::TwoTempBetaZero, R::InPlaceAccumulate]);
-        for scheme in hand.chain(Family::ALL.map(R::Compiled)) {
+        for scheme in hand.into_iter().chain([R::SevenTemp, R::TwoTempBetaZero, R::InPlaceAccumulate]) {
             let prog = scheme.program();
             let n = prog.nodes().len();
             let mut reach = vec![vec![false; n]; n];

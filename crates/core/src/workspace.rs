@@ -17,7 +17,6 @@
 
 use crate::config::{OddHandling, Scheme, StrassenConfig, Variant};
 use crate::dispatch::fuse_last_level;
-use crate::fastmm::Family;
 
 /// The schedule that will actually execute for a given `β` under a
 /// configuration (resolves [`Scheme::Auto`]).
@@ -41,23 +40,14 @@ pub enum ResolvedScheme {
     /// Boyer–Dumas–Pernet–Zhou in-place accumulating schedule: any `β`
     /// with the same two temporaries and no product staging.
     InPlaceAccumulate,
-    /// A non-⟨2,2,2⟩ family's lowered coefficient table (temporaries
-    /// `X`, `Y`, `P` sized by the family's base blocks; see
-    /// [`Family::compiled`]).
-    Compiled(Family),
 }
 
 /// Resolve which schedule a configuration runs for a given `β`.
 ///
-/// A non-default [`StrassenConfig::family`] overrides variant and scheme
-/// outright: only a lowered table splits ⟨m,k,n⟩ base cases other than
-/// 2×2×2. The BDPZ schemes are Winograd-variant 2×2×2
-/// schedules; under [`Variant::Original`] they fall back to the original
-/// paths like every other scheme.
+/// The BDPZ schemes are Winograd-variant schedules; under
+/// [`Variant::Original`] they fall back to the original paths like every
+/// other scheme.
 pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
-    if cfg.family != Family::F222 {
-        return ResolvedScheme::Compiled(cfg.family);
-    }
     match (cfg.variant, cfg.scheme, beta_zero) {
         (Variant::Original, _, true) => ResolvedScheme::OriginalBetaZero,
         (Variant::Original, _, false) => ResolvedScheme::OriginalGeneral,
@@ -73,9 +63,8 @@ pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
     }
 }
 
-/// Temporary elements one recursion level of `scheme` needs, given
-/// dimensions `(m, k, n)` already divisible by the scheme's base case
-/// (so ⟨2,2,2⟩ quadrants are `m/2 × k/2` etc.): each temporary of its
+/// Temporary elements one recursion level of `scheme` needs, given even
+/// dimensions `(m, k, n)` (so quadrants are `m/2 × k/2` etc.): each temporary of its
 /// program at the largest shape it is used at, plus the `m × n` buffer
 /// the general original variant stages its `β = 0` run into.
 pub fn per_level_elements(scheme: ResolvedScheme, m: usize, k: usize, n: usize) -> usize {
@@ -83,17 +72,13 @@ pub fn per_level_elements(scheme: ResolvedScheme, m: usize, k: usize, n: usize) 
     staged + scheme.program().workspace_elements(m, k, n)
 }
 
-/// Round each dimension down (peeling) or up (padding) to a multiple of
-/// the family's base case, as the configured odd-handling will do at
-/// runtime.
-fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize, usize) {
-    let (dm, dk, dn) = cfg.family.dims();
+/// Round each dimension down (peeling) or up (padding) to an even one,
+/// as the configured odd-handling will do at runtime.
+pub(crate) fn evenized(cfg: &StrassenConfig, m: usize, k: usize, n: usize) -> (usize, usize, usize) {
     match cfg.odd {
-        OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst => {
-            (m - m % dm, k - k % dk, n - n % dn)
-        }
+        OddHandling::DynamicPeeling | OddHandling::DynamicPeelingFirst => (m & !1, k & !1, n & !1),
         OddHandling::DynamicPadding | OddHandling::StaticPadding => {
-            (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn))
+            (m.next_multiple_of(2), k.next_multiple_of(2), n.next_multiple_of(2))
         }
     }
 }
@@ -137,17 +122,16 @@ fn required_at_depth(
         return m * n + required_at_depth(cfg, m, k, n, true, depth);
     }
     if cfg.odd == OddHandling::StaticPadding && depth == 0 {
-        // Pad once up front to multiples of fm^d/fk^d/fn^d, then run
-        // with dynamic padding as the (normally never-triggered)
-        // fallback — exactly what the runtime path does.
-        let d = static_padding_depth_for(cfg, m, k, n, beta_zero);
-        let (dm, dk, dn) = cfg.family.dims();
+        // Pad once up front to multiples of 2^d, then run with dynamic
+        // padding as the (normally never-triggered) fallback — exactly
+        // what the runtime path does.
+        let unit = 1 << static_padding_depth_for(cfg, m, k, n, beta_zero);
         let inner = StrassenConfig { odd: OddHandling::DynamicPadding, ..*cfg };
         return required_at_depth(
             &inner,
-            m.next_multiple_of(dm.pow(d)),
-            k.next_multiple_of(dk.pow(d)),
-            n.next_multiple_of(dn.pow(d)),
+            m.next_multiple_of(unit),
+            k.next_multiple_of(unit),
+            n.next_multiple_of(unit),
             beta_zero,
             depth,
         );
@@ -160,8 +144,7 @@ fn required_at_depth(
     }
     let prog = scheme.program();
     let per = prog.workspace_elements(me, ke, ne);
-    let (dm, dk, dn) = cfg.family.dims();
-    let (m2, k2, n2) = (me / dm, ke / dk, ne / dn);
+    let (m2, k2, n2) = (me / 2, ke / 2, ne / 2);
     // Sub-products share the arena tail one at a time. A program whose
     // children span both β classes sizes for the larger (a
     // `cutoff_general` override can let either class recurse deeper).
@@ -191,24 +174,22 @@ pub fn padding_copy_elements(cfg: &StrassenConfig, m: usize, k: usize, n: usize)
             if cfg.cutoff.should_stop(m, k, n) {
                 return 0;
             }
-            let (dm, dk, dn) = cfg.family.dims();
-            let (me, ke, ne) = (m.next_multiple_of(dm), k.next_multiple_of(dk), n.next_multiple_of(dn));
+            let (me, ke, ne) = evenized(cfg, m, k, n);
             let here = if (me, ke, ne) == (m, k, n) {
                 0
             } else {
                 // A, B, and C copies at the padded size.
                 me * ke + ke * ne + me * ne
             };
-            here + padding_copy_elements(cfg, me / dm, ke / dk, ne / dn)
+            here + padding_copy_elements(cfg, me / 2, ke / 2, ne / 2)
         }
         OddHandling::StaticPadding => {
             let d = static_padding_depth(cfg, m, k, n);
             if d == 0 {
                 return 0;
             }
-            let (dm, dk, dn) = cfg.family.dims();
-            let (mp, kp, np) =
-                (m.next_multiple_of(dm.pow(d)), k.next_multiple_of(dk.pow(d)), n.next_multiple_of(dn.pow(d)));
+            let unit = 1 << d;
+            let (mp, kp, np) = (m.next_multiple_of(unit), k.next_multiple_of(unit), n.next_multiple_of(unit));
             if (mp, kp, np) == (m, k, n) {
                 0
             } else {
@@ -227,13 +208,12 @@ pub fn static_padding_depth(cfg: &StrassenConfig, m: usize, k: usize, n: usize) 
 /// [`static_padding_depth`] under the criterion for the given `β` class.
 pub fn static_padding_depth_for(cfg: &StrassenConfig, m: usize, k: usize, n: usize, beta_zero: bool) -> u32 {
     let crit = cfg.criterion_for(beta_zero);
-    let (dm, dk, dn) = cfg.family.dims();
     let (mut a, mut b, mut c) = (m, k, n);
     let mut d = 0;
     while !crit.should_stop(a, b, c) {
-        a = a.div_ceil(dm);
-        b = b.div_ceil(dk);
-        c = c.div_ceil(dn);
+        a = a.div_ceil(2);
+        b = b.div_ceil(2);
+        c = c.div_ceil(2);
         d += 1;
     }
     d
@@ -340,12 +320,16 @@ thread_local! {
         const { std::cell::Cell::new(WorkspaceArena::new()) };
 }
 
-/// Run `f` with `len` elements of scratch from this thread's arena. The
+/// Run `f` with `len` elements of scratch from this thread's arena and
+/// the arena's capacity once it holds them (what
+/// [`tls_arena_capacity_elements`] reports after the call). The
 /// take/put-back protocol makes reentrant calls safe (an inner call just
 /// sees an empty arena and allocates its own, which is then kept).
-pub(crate) fn with_tls_arena<T: matrix::Scalar, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+pub(crate) fn with_tls_arena<T: matrix::Scalar, R>(len: usize, f: impl FnOnce(&mut [T], usize) -> R) -> R {
     let mut arena = TLS_ARENA.with(std::cell::Cell::take);
-    let out = f(arena.slice_for::<T>(len));
+    arena.slice_for::<T>(len);
+    let capacity = arena.capacity_elements::<T>();
+    let out = f(arena.slice_for::<T>(len), capacity);
     TLS_ARENA.with(|slot| slot.set(arena));
     out
 }
@@ -483,10 +467,11 @@ mod tests {
 
     #[test]
     fn tls_arena_roundtrip_and_reentrancy() {
-        let outer = with_tls_arena::<f64, _>(64, |ws| {
+        let outer = with_tls_arena::<f64, _>(64, |ws, capacity| {
             ws.fill(2.0);
+            assert!(capacity >= 64);
             // Reentrant use sees a fresh arena, not the borrowed one.
-            with_tls_arena::<f64, _>(16, |inner| inner.fill(3.0));
+            with_tls_arena::<f64, _>(16, |inner, _| inner.fill(3.0));
             ws.iter().sum::<f64>()
         });
         assert_eq!(outer, 128.0);

@@ -1,9 +1,9 @@
-//! Generalized rank-R ⟨m,k,n⟩ recursion cost analysis.
+//! Two-class rank-R recursion cost analysis.
 //!
 //! The paper's eq. (2) is the special case "rank 7, base case ⟨2,2,2⟩,
 //! every child in the β = 0 class" of a family of recurrences. A
-//! coefficient-table algorithm of rank `R` over an ⟨dm,dk,dn⟩ base case,
-//! with schedule-dependent elementwise pass counts, obeys
+//! schedule of rank `R` over an ⟨dm,dk,dn⟩ base case, with
+//! schedule-dependent elementwise pass counts, obeys
 //!
 //! ```text
 //! W_cls(m,k,n) = M_cls(m,k,n)                       if cutoff fires
@@ -15,16 +15,13 @@
 //! `2mkn − mn`, multiply-accumulate leaves `2mkn`), the child mix and
 //! the pass counts `(a, b, c)` depend on the class, and every add pass
 //! costs its destination area. [`FamilySpec`] carries both class
-//! descriptions; [`family_flops`] evaluates the recurrence exactly in
-//! `u128` (no float rounding at any depth); [`family_closed_form`] is
-//! the uniform-class geometric evaluation that reduces to the paper's
-//! eqs. (3)–(5) at `R = 7`, ⟨2,2,2⟩.
+//! descriptions, and [`family_flops`] evaluates the recurrence exactly
+//! in `u128` (no float rounding at any depth). With the Winograd
+//! ⟨2,2,2⟩ : 7 structure it reproduces the paper's eqs. (3)–(5).
 //!
-//! This crate stays pure analysis: the pass counts for a concrete
-//! compiled schedule come from the caller (the core crate's tests feed
-//! its `CompiledSchedule` numbers in), and [`bdpz_spec`] encodes the
-//! Boyer–Dumas–Pernet–Zhou two-temp/in-place pair whose counts are
-//! fixed by the ISSAC '09 schedules themselves.
+//! The recurrence exists for the two schedules whose β classes differ:
+//! [`bdpz_spec`] encodes the Boyer–Dumas–Pernet–Zhou two-temp/in-place
+//! pair, whose counts are fixed by the ISSAC '09 schedules themselves.
 
 /// Per-level structure of one β class of a family recursion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,28 +48,6 @@ pub struct FamilySpec {
     pub beta_zero: ClassLevel,
     /// Level structure when a node is entered as a multiply-accumulate.
     pub accumulate: ClassLevel,
-}
-
-/// A spec whose two classes share the child mix (every child `β = 0`)
-/// and operand pass counts, differing only in C-side passes — the shape
-/// of every compiled coefficient-table schedule, whose first write per
-/// C block is a copy (not an add) exactly when the caller's `β = 0`.
-pub fn uniform_spec(
-    dims: (u128, u128, u128),
-    rank: u128,
-    a_passes: u128,
-    b_passes: u128,
-    c_passes_beta_zero: u128,
-    c_passes_accumulate: u128,
-) -> FamilySpec {
-    let class = |c_passes| ClassLevel {
-        children_beta_zero: rank,
-        children_accumulate: 0,
-        a_passes,
-        b_passes,
-        c_passes,
-    };
-    FamilySpec { dims, beta_zero: class(c_passes_beta_zero), accumulate: class(c_passes_accumulate) }
 }
 
 /// The Boyer–Dumas–Pernet–Zhou ⟨2,2,2⟩ pair (arXiv:0707.2347 / ISSAC
@@ -147,99 +122,41 @@ pub fn family_flops(
     total
 }
 
-/// Closed-form evaluation of `d` levels of a *uniform-class* rank-R
-/// recursion (every child `β = 0`) on a `dm^d·m0 × dk^d·k0` by
-/// `dk^d·k0 × dn^d·n0` product, standard algorithm at the bottom —
-/// the generalization of the paper's eq. (3). Evaluated as an exact
-/// bottom-up `u128` loop rather than a power formula, so rectangular
-/// base cases need no rational arithmetic.
-///
-/// ```
-/// use opcount::family::family_closed_form;
-/// // Depth 0 is a plain β = 0 leaf: 2·m·k·n − m·n.
-/// assert_eq!(family_closed_form(0, (2, 2, 2), 3, 5, 7, 7, 4, 4, 7), 2 * 3 * 5 * 7 - 3 * 7);
-/// // One Winograd level on 16³ with order-8 leaves: eq. (3) at d = 1.
-/// let leaf = 2u128 * 8 * 8 * 8 - 8 * 8;
-/// assert_eq!(family_closed_form(1, (2, 2, 2), 8, 8, 8, 7, 4, 4, 7), 7 * leaf + 15 * 64);
-/// ```
-pub fn family_closed_form(
-    d: u32,
-    dims: (u128, u128, u128),
-    m0: u128,
-    k0: u128,
-    n0: u128,
-    rank: u128,
-    a_passes: u128,
-    b_passes: u128,
-    c_passes: u128,
-) -> u128 {
-    let (dm, dk, dn) = dims;
-    let mut w = 2 * m0 * k0 * n0 - m0 * n0;
-    let (mut m, mut k, mut n) = (m0, k0, n0);
-    for _ in 0..d {
-        // At this level the children are the current (m, k, n); the add
-        // passes run on child-shaped blocks.
-        w = rank * w + a_passes * m * k + b_passes * k * n + c_passes * m * n;
-        m *= dm;
-        k *= dk;
-        n *= dn;
-    }
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recurrence::{winograd_closed_form, winograd_square};
 
-    /// Eq. (2)'s 7/⟨2,2,2⟩/4-4-7 structure as a [`FamilySpec`].
+    /// Eq. (2)'s 7/⟨2,2,2⟩/4-4-7 structure as a [`FamilySpec`]: every
+    /// child `β = 0`, 4 + 4 operand adds and 7 `C`-side adds per level.
     fn winograd_spec() -> FamilySpec {
-        uniform_spec((2, 2, 2), 7, 4, 4, 7, 7)
+        let level = ClassLevel {
+            children_beta_zero: 7,
+            children_accumulate: 0,
+            a_passes: 4,
+            b_passes: 4,
+            c_passes: 7,
+        };
+        FamilySpec { dims: (2, 2, 2), beta_zero: level, accumulate: level }
     }
 
     #[test]
     fn closed_form_reduces_to_paper_equations() {
+        let spec = winograd_spec();
         for d in 0..5u32 {
-            assert_eq!(family_closed_form(d, (2, 2, 2), 9, 9, 9, 7, 4, 4, 7), winograd_square(d, 9));
+            let scale = 1u128 << d;
+            let cut = |m: u128, _: u128, _: u128, _: bool| m <= 9;
             assert_eq!(
-                family_closed_form(d, (2, 2, 2), 3, 5, 7, 7, 4, 4, 7),
+                family_flops(&spec, 9 * scale, 9 * scale, 9 * scale, true, &cut),
+                winograd_square(d, 9)
+            );
+            let cut = |m: u128, _: u128, _: u128, _: bool| m <= 3;
+            assert_eq!(
+                family_flops(&spec, 3 * scale, 5 * scale, 7 * scale, true, &cut),
                 winograd_closed_form(d, 3, 5, 7)
             );
         }
     }
-
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn flops_recurrence_matches_closed_form_for_uniform_specs() {
-        // ⟨2,2,2⟩ rank 7 and a rectangular ⟨3,2,3⟩ rank 17 shape.
-        let cases: [(FamilySpec, (u128, u128, u128), u128, u128, u128); 2] = [
-            (winograd_spec(), (2, 2, 2), 3, 5, 7),
-            (uniform_spec((3, 2, 3), 17, 12, 14, 20, 25), (3, 2, 3), 2, 3, 4),
-        ];
-        for (spec, (dm, dk, dn), m0, k0, n0) in cases {
-            for d in 0..4u32 {
-                let (m, k, n) = (dm.pow(d) * m0, dk.pow(d) * k0, dn.pow(d) * n0);
-                let cut = move |a: u128, b: u128, c: u128, _: bool| a <= m0 && b <= k0 && c <= n0;
-                let cl = spec.beta_zero;
-                assert_eq!(
-                    family_flops(&spec, m, k, n, true, &cut),
-                    family_closed_form(
-                        d,
-                        spec.dims,
-                        m0,
-                        k0,
-                        n0,
-                        cl.children_beta_zero,
-                        cl.a_passes,
-                        cl.b_passes,
-                        cl.c_passes
-                    ),
-                    "d={d}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn bdpz_one_level_counts_by_hand() {
         let spec = bdpz_spec();
@@ -270,14 +187,10 @@ mod tests {
 
     #[test]
     fn indivisible_dimensions_stop_the_model() {
-        // ⟨3,2,3⟩ on 6×6×6: one exact split to 2×3×2 children, whose
-        // m = 2 < dm = 3 stops the next level even with no cutoff.
-        let spec = uniform_spec((3, 2, 3), 17, 2, 2, 17, 17);
+        // 6×6×6: one exact split to 3×3×3 children, whose odd dimensions
+        // stop the next level even with no cutoff.
         let cut = |_: u128, _: u128, _: u128, _: bool| false;
-        let child = 2 * 2 * 3 * 2 - 2 * 2; // leaf 2×3×2, β = 0
-        assert_eq!(
-            family_flops(&spec, 6, 6, 6, true, &cut),
-            17 * child + 2 * (2 * 3) + 2 * (3 * 2) + 17 * (2 * 2)
-        );
+        let child = 2 * 3 * 3 * 3 - 3 * 3; // leaf 3×3×3, β = 0
+        assert_eq!(family_flops(&winograd_spec(), 6, 6, 6, true, &cut), 7 * child + (4 + 4 + 7) * (3 * 3));
     }
 }

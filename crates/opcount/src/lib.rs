@@ -8,8 +8,7 @@
 //!   `G(m,n) = mn`, plus a weighted-cost generalization;
 //! * [`recurrence`] — the cost recurrence (eq. 2) and closed forms
 //!   (eqs. 3–5) for the Winograd and original variants;
-//! * [`family`] — the generalized rank-R ⟨m,k,n⟩ two-class recurrence
-//!   covering compiled coefficient-table families and the BDPZ
+//! * [`family`] — the two-class rank-R recurrence covering the BDPZ
 //!   two-temp/in-place schedules;
 //! * [`cutoff`] — the theoretical cutoff characterization (eqs. 6–8),
 //!   including the square cutoff 12 and the 6×14×86 counterexample class;

@@ -82,36 +82,6 @@ pub fn bdpz_bound(m: u128, k: u128, n: u128) -> f64 {
     ((m * k + k * n) as f64) / 3.0
 }
 
-/// Recursion-total workspace bound of a compiled rank-R ⟨dm,dk,dn⟩
-/// family schedule: per level it draws `X (mk/(dm·dk))` (only when some
-/// product sums more than one A block), `Y (kn/(dk·dn))` (likewise for
-/// B), and the product buffer `P (mn/(dm·dn))`; each shrinks by its
-/// block-count factor per level, so the totals are the geometric sums
-/// `mk/(dm·dk − 1)`, `kn/(dk·dn − 1)`, `mn/(dm·dn − 1)`.
-///
-/// ```
-/// use opcount::memory::{family_bound, strassen2_bound};
-/// // ⟨2,2,2⟩ with both operand temps is exactly STRASSEN2's bound.
-/// let f222 = family_bound(512, 384, 640, (2, 2, 2), true, true);
-/// let s2 = strassen2_bound(512, 384, 640);
-/// assert!((f222 - s2).abs() <= 1e-9 * s2);
-/// // A ⟨3,3,3⟩ base case shrinks every term: (mk + kn + mn)/8.
-/// assert!(family_bound(512, 384, 640, (3, 3, 3), true, true) < s2);
-/// ```
-pub fn family_bound(
-    m: u128,
-    k: u128,
-    n: u128,
-    dims: (u128, u128, u128),
-    needs_x: bool,
-    needs_y: bool,
-) -> f64 {
-    let (dm, dk, dn) = dims;
-    let x = if needs_x { (m * k) as f64 / (dm * dk - 1) as f64 } else { 0.0 };
-    let y = if needs_y { (k * n) as f64 / (dk * dn - 1) as f64 } else { 0.0 };
-    x + y + (m * n) as f64 / (dm * dn - 1) as f64
-}
-
 /// A naive no-reuse implementation's bound (Section 3.2 intro):
 /// `(4mk + 4kn + 14mn)/3`.
 pub fn naive_bound(m: u128, k: u128, n: u128) -> f64 {
@@ -192,30 +162,6 @@ mod tests {
         // but valid for *any* β.
         assert!(bdpz <= strassen1_bound(m, k, n, true));
         assert_eq!(bdpz, 2.0 * (m * m) as f64 / 3.0);
-    }
-
-    #[test]
-    fn family_bound_generalizes_strassen2() {
-        // ⟨2,2,2⟩ with both operand temps is exactly STRASSEN2's
-        // (mk + kn + mn)/3.
-        let (m, k, n) = (512u128, 384, 640);
-        let f222 = family_bound(m, k, n, (2, 2, 2), true, true);
-        let s2 = strassen2_bound(m, k, n);
-        assert!((f222 - s2).abs() <= 1e-9 * s2, "{f222} vs {s2}");
-        // Bigger base cases shrink per-level blocks faster: a ⟨3,3,3⟩
-        // family is bounded by (mk + kn + mn)/8.
-        let f333 = family_bound(m, k, n, (3, 3, 3), true, true);
-        assert_eq!(f333, (m * k + k * n + m * n) as f64 / 8.0);
-        assert!(f333 < strassen2_bound(m, k, n));
-    }
-
-    #[test]
-    fn family_bound_drops_unneeded_operand_temps() {
-        let (m, k, n) = (100u128, 100, 100);
-        let full = family_bound(m, k, n, (2, 2, 2), true, true);
-        let no_x = family_bound(m, k, n, (2, 2, 2), false, true);
-        let want = (m * k) as f64 / 3.0;
-        assert!((full - no_x - want).abs() <= 1e-9 * want);
     }
 
     #[test]

@@ -6,10 +6,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== 1/17 offline release build =="
+echo "== 1/16 offline release build =="
 cargo build --release --offline
 
-echo "== 2/17 offline test suite (pinned-thread matrix) =="
+echo "== 2/16 offline test suite (pinned-thread matrix) =="
 # The full suite — every crate's unit tests plus the root package's
 # integration tests and doc-tests (the workspace's `default-members`
 # covers all of them) — under both ends of the thread matrix: a
@@ -19,7 +19,7 @@ echo "== 2/17 offline test suite (pinned-thread matrix) =="
 STRASSEN_THREADS=1 cargo test -q --offline
 STRASSEN_THREADS=4 cargo test -q --offline
 
-echo "== 3/17 experiments binary builds and runs the ablation study =="
+echo "== 3/16 experiments binary builds and runs the ablation study =="
 # The `experiments` binary regenerates the paper's tables and figures
 # and is the one timing harness besides benchmark/. Its smoke-scale
 # ablation run (orders <= 128) takes well under a second and exercises
@@ -27,17 +27,17 @@ echo "== 3/17 experiments binary builds and runs the ablation study =="
 cargo build --release --offline -p strassen-bench --bins
 cargo run --release --offline --quiet -p strassen-bench --bin experiments -- ablation --scale smoke
 
-echo "== 4/17 benchmark package builds and passes its tests =="
+echo "== 4/16 benchmark package builds and passes its tests =="
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so no step above builds it. This catches a change to the
 # public API of `serve` or `strassen` that would break it.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 5/17 AddressSanitizer over the unsafe kernels (nightly) =="
+echo "== 5/16 AddressSanitizer over the unsafe kernels (nightly) =="
 # The blas unit tests (micro-kernels, packers, the unpacked small tier's
 # masked loads and stores, the pack-buffer lease), the kernel
-# conformance suite, the fused Strassen level, the ⟨m,k,n⟩ family
-# engine, the Table-1 memory tests, the schedule programs and their
+# conformance suite, the fused Strassen level, the BDPZ schedules, the
+# Table-1 memory tests, the schedule programs and their
 # executor, the golden schedules and the probe cross-check under ASan.
 # A mask one lane too wide in the small tier reads or writes past a
 # view's last column, a packed nest that overruns its pack slab
@@ -51,25 +51,25 @@ ASAN=(env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan
     cargo +nightly test --offline -q --target x86_64-unknown-linux-gnu)
 "${ASAN[@]}" -p strassen-blas --lib
 "${ASAN[@]}" -p strassen --lib schedules::
-"${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test family_engine \
+"${ASAN[@]}" -p strassen-repro --test kernel_conformance --test fused_kernels --test bdpz_schedules \
     --test table1_memory --test golden_schedules --test probe_crosscheck
 
-echo "== 6/17 clippy (deny warnings) =="
+echo "== 6/16 clippy (deny warnings) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== 7/17 rustfmt check =="
+echo "== 7/16 rustfmt check =="
 cargo fmt --check
 
-echo "== 8/17 rustdoc (deny warnings) =="
+echo "== 8/16 rustdoc (deny warnings) =="
 # cargo doc reuses cached rustdoc output even when RUSTDOCFLAGS would now
 # fail it; touch the crate roots so every crate is re-documented.
 touch crates/*/src/lib.rs src/lib.rs
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== 9/17 doc-tests =="
+echo "== 9/16 doc-tests =="
 cargo test --doc --workspace -q --offline
 
-echo "== 10/17 profile report (staleness gate + live run + schema validation) =="
+echo "== 10/16 profile report (staleness gate + live run + schema validation) =="
 # First the staleness gate: the committed artifacts must match the
 # structural fingerprint (schema, sections, exact flop totals, phase
 # labels, timeline task/edge structure, folded frame set) of a fresh
@@ -84,7 +84,7 @@ grep -q '"timeline":' results/profile_report.json
 grep -q '^dgefmm' results/profile_report.folded
 echo "profile_report artifacts validated"
 
-echo "== 11/17 execution timeline (record + strict re-parse + overhead gate) =="
+echo "== 11/16 execution timeline (record + strict re-parse + overhead gate) =="
 # Records a parallel task-DAG run into the per-worker event rings and
 # exports it as Chrome trace JSON. The example is its own acceptance
 # check: the export re-parses with the strict testkit parser, every
@@ -95,26 +95,19 @@ echo "== 11/17 execution timeline (record + strict re-parse + overhead gate) =="
 # 100 ms; TIMELINE_NO_GUARD=1 demotes on noisy hosts).
 cargo run --release --offline --example timeline_trace -- --n 512 --depth 2 | tail -n 3
 
-echo "== 12/17 algorithm catalog regeneration gate =="
-# ALGORITHMS.md's generated tables must match what the live coefficient
-# tables, compiled schedules, and trace probe produce, byte for byte;
-# the example also re-asserts traced flops == the generalized opcount
-# recurrence and high-water == the analytic requirement while rendering.
-cargo run --release --offline --example algorithm_catalog -- --check
-
-echo "== 13/17 differential fuzz campaign (pinned 256 cases) =="
+echo "== 12/16 differential fuzz campaign (pinned 256 cases) =="
 # The config-space fuzzer: 256 cases at a pinned master seed, every case
 # a full random DGEFMM configuration (shape incl. odd/prime, α/β,
-# transposes, variant, schedule incl. the BDPZ pair, ⟨m,k,n⟩ family,
-# odd-handling, cutoff criterion, parallel_depth 0-3, task-DAG width,
-# serial vs pool-parallel leaf GEMM, fused, blocking class, probe) checked against the compensated oracle under that
-# family's Higham envelope. Deterministic: a failure here reproduces
+# transposes, variant, schedule incl. the BDPZ pair, odd-handling,
+# cutoff criterion, parallel_depth 0-3, task-DAG width, serial vs
+# pool-parallel leaf GEMM, fused, blocking class, probe) checked against
+# the compensated oracle under its Higham envelope. Deterministic: a failure here reproduces
 # bit-for-bit with the reported (case seed, size) pair.
 FUZZ_ITERS=256 TESTKIT_SEED=0xD1CE5EED \
     cargo test -q --offline --test fuzz_differential differential_fuzz_campaign
 echo "fuzz campaign: 256/256 cases within the theoretical envelope"
 
-echo "== 14/17 serving layer at 2 workers (admission + determinism + soak) =="
+echo "== 13/16 serving layer at 2 workers (admission + determinism + soak) =="
 # Step 2 already ran the serve suites at 1 and 4 workers; this completes
 # the {1, 2, 4} matrix for the serving layer specifically. The
 # determinism suite's inline-replay anchor is worker-count independent,
@@ -124,7 +117,7 @@ STRASSEN_THREADS=2 cargo test -q --offline \
     --test serve_admission --test serve_determinism --test serve_soak
 echo "serving suites passed at 2 workers"
 
-echo "== 15/17 determinism spot-check at 2 workers =="
+echo "== 14/16 determinism spot-check at 2 workers =="
 # The thread matrix in step 2 covers 1 and 4 workers; this completes the
 # {1, 2, 4} set from the PR-7 acceptance criteria with the bitwise
 # determinism suite at a 2-worker pool. (parallel_smoke's pool pin
@@ -134,16 +127,16 @@ echo "== 15/17 determinism spot-check at 2 workers =="
 STRASSEN_THREADS=2 cargo test -q --offline --test parallel_smoke bitwise
 echo "determinism suite passed at 2 workers"
 
-echo "== 16/17 rectangular-family smoke at 4 workers =="
-# Every ⟨m,k,n⟩ family plus both BDPZ schedules on a rectangular
-# 33×40×27 problem, serial vs parallel_depth=2 bitwise, with a real
-# 4-worker pool underneath — families resolve to the serial compiled
-# executor, and this pins that claim under contention.
-STRASSEN_THREADS=4 cargo test -q --offline --test family_engine \
-    serial_parallel_bitwise_identical_across_new_axes
-echo "family smoke: serial == parallel across families and schedules at 4 workers"
+echo "== 15/16 BDPZ smoke at 4 workers =="
+# The BDPZ two-temp and in-place schedules (bitwise against the default
+# on integers, exact flops and high-water, analytic profile, serial vs
+# parallel_depth=2 bitwise) with a real 4-worker pool underneath: they
+# run serially at any parallel_depth, and this pins that claim under
+# contention.
+STRASSEN_THREADS=4 cargo test -q --offline --test bdpz_schedules
+echo "BDPZ smoke: schedules exact and serial == parallel at 4 workers"
 
-echo "== 17/17 dependency audit: workspace-only graph, no oracle on the hot path =="
+echo "== 16/16 dependency audit: workspace-only graph, no oracle on the hot path =="
 # Every package in the resolved graph must live under this repository;
 # a single registry/git dependency would appear without the (path) suffix.
 tree_out="$(cargo tree --workspace --edges normal,build,dev --prefix none --offline)"

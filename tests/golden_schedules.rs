@@ -12,7 +12,8 @@ use blas::Op;
 use matrix::{norms, random, Matrix};
 use strassen::probe::SplitEvent;
 use strassen::{
-    dgefmm, resolve_scheme, trace, CutoffCriterion, Probe, ResolvedScheme, Scheme, StrassenConfig, Variant,
+    dgefmm, resolve_scheme, trace, CutoffCriterion, OddHandling, Probe, ResolvedScheme, Scheme,
+    StrassenConfig, Variant,
 };
 
 /// Every hand-scheduled ⟨2,2,2⟩ program: the four named schedules of the
@@ -126,6 +127,63 @@ fn alpha_zero_scales_only() {
 fn deep_recursion_mixed_parity() {
     for (name, variant, scheme) in SCHEDULES {
         check_cell(name, variant, scheme, 100, 100, 100, -0.7);
+    }
+}
+
+/// A matrix of small integers stored as `f64`: every sum and product
+/// any schedule forms on them is exact, so a correct schedule must agree
+/// with the naive triple loop *bitwise*.
+fn integer_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+    let u = random::uniform::<f64>(rows, cols, seed);
+    Matrix::from_fn(rows, cols, |i, j| (u.at(i, j) * 9.0).floor() - 4.0)
+}
+
+/// The exact oracle: on integer inputs every variant × schedule ×
+/// odd-handling, fused or not, reproduces the naive kernel bit for bit,
+/// at β = 0, 1 and −2, on an even shape and two odd rectangular ones
+/// (two levels at τ = 4, with peel or pad work at every level of the odd
+/// ones). Any discrepancy is an algebra bug, not rounding.
+#[test]
+fn every_schedule_is_bitwise_exact_on_integer_inputs() {
+    for (m, k, n) in [(24usize, 24, 24), (25, 23, 29), (17, 40, 11)] {
+        let a = integer_matrix(m, k, 3);
+        let b = integer_matrix(k, n, 5);
+        let c0 = integer_matrix(m, n, 7);
+        for beta in [0.0, 1.0, -2.0] {
+            let mut want = c0.clone();
+            let naive = GemmConfig::naive();
+            gemm(&naive, 2.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), beta, want.as_mut());
+            for variant in Variant::ALL {
+                for scheme in Scheme::ALL {
+                    for odd in OddHandling::ALL {
+                        for fused in [false, true] {
+                            let cfg = StrassenConfig::dgefmm()
+                                .variant(variant)
+                                .scheme(scheme)
+                                .odd(odd)
+                                .cutoff(CutoffCriterion::Simple { tau: 4 })
+                                .fused(fused);
+                            let mut c = c0.clone();
+                            dgefmm(
+                                &cfg,
+                                2.0,
+                                Op::NoTrans,
+                                a.as_ref(),
+                                Op::NoTrans,
+                                b.as_ref(),
+                                beta,
+                                c.as_mut(),
+                            );
+                            assert_eq!(
+                                c.as_slice(),
+                                want.as_slice(),
+                                "{variant:?} {scheme:?} {odd:?} fused={fused} β={beta} ({m}×{k}×{n})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -20,9 +20,10 @@
 
 use blas::Op;
 use matrix::{random, Matrix};
+use pool::ring::EventKind;
 use std::sync::{Mutex, MutexGuard};
 use strassen::probe::timeline::{self, Structure};
-use strassen::{counts, dgefmm, CutoffCriterion, Scheme, StrassenConfig};
+use strassen::{counts, dgefmm, dgefmm_with_workspace, CutoffCriterion, Scheme, StrassenConfig, Workspace};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -134,4 +135,35 @@ fn tracing_on_is_bitwise_identical_to_tracing_off() {
         "recording perturbed the result (max {} ulps)",
         testkit::max_ulp_diff_mat(plain.as_ref(), recorded.as_ref())
     );
+}
+
+/// `dgefmm_with_workspace` (the entry point of the backends, the tuner
+/// and the experiment runner) records the same call bracket as `dgefmm`:
+/// one `Mark` of arg 0 before the recursion and one of arg 1 after it.
+#[test]
+fn dgefmm_with_workspace_records_one_call_bracket() {
+    let _guard = serialized();
+    let cfg = config(usize::MAX);
+    let a = random::uniform::<f64>(N, N, 51);
+    let b = random::uniform::<f64>(N, N, 52);
+    let mut c = Matrix::<f64>::zeros(N, N);
+    let mut ws = Workspace::with_len(0);
+    let (_, tl) = timeline::record(|| {
+        dgefmm_with_workspace(
+            &cfg,
+            1.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            0.0,
+            c.as_mut(),
+            &mut ws,
+        )
+    });
+    let marks = |arg: u32| {
+        let events = tl.lanes.iter().flat_map(|lane| &lane.events);
+        events.filter(|e| e.kind == EventKind::Mark && e.arg == arg).count()
+    };
+    assert_eq!((marks(0), marks(1)), (1, 1), "one dgefmm_start and one dgefmm_end mark");
 }
