@@ -4,20 +4,18 @@
 //!
 //! One fuzz case draws *every* independent axis of the configuration
 //! space — shape (including odd and near-floor dimensions), `α`/`β`
-//! classes, transposes, variant, schedule (all six, including the BDPZ
-//! two-temp and in-place pair), odd-dimension handling,
-//! cutoff criterion (the paper's eqs. 10/11, 12, 7, 15 plus `Never`),
-//! `parallel_depth` (0–3), the task DAG's in-flight width cap, a serial
-//! vs pool-parallel leaf GEMM, fused last-level kernels (through the
-//! shared-panel executor, under either leaf backend; the pool-parallel
-//! one splits the fused level's column loop only above the 64³ spawn
-//! threshold, so at the fuzzer's sizes it selects the fused path and
-//! runs it on one thread), the base GEMM's cache-blocking class
-//! ([`BlockingClass`]: auto/tiny/prime/huge), probe installed or
-//! not — runs
-//! [`strassen::dgefmm`] on seeded data, recomputes the product with
-//! [`crate::oracle::gemm_oracle`], and asserts the measured error sits
-//! inside [`crate::bound::gemm_bound`].
+//! classes, transposes, variant, schedule (all four), odd-dimension
+//! handling, cutoff criterion (the paper's eqs. 10/11, 12, 7, 15 plus
+//! `Never`), `parallel_depth` (0–3), the task DAG's in-flight width
+//! cap, a serial vs pool-parallel leaf GEMM, fused last-level kernels
+//! (through the shared-panel executor, under either leaf backend; the
+//! pool-parallel one splits the fused level's column loop only above
+//! the 64³ spawn threshold, so at the fuzzer's sizes it selects the
+//! fused path and runs it on one thread), the base GEMM's
+//! cache-blocking class ([`BlockingClass`]: auto/tiny/prime/huge),
+//! probe installed or not — runs [`strassen::dgefmm`] on seeded data,
+//! recomputes the product with [`crate::oracle::gemm_oracle`], and
+//! asserts the measured error sits inside [`crate::bound::gemm_bound`].
 //!
 //! Run through [`testkit::check`], a violation shrinks to the smallest
 //! failing size and reports a `(case seed, size)` pair that
@@ -25,7 +23,7 @@
 //! campaign and `FUZZ_ITERS` sets the budget (see `scripts/verify.sh`,
 //! which runs 256 pinned cases in CI).
 
-use crate::bound::{gemm_bound, schedule_slack, BoundSchedule};
+use crate::bound::{gemm_bound, BoundSchedule};
 use crate::metrics::{compare, ErrorReport};
 use blas::level3::{GemmAlgo, GemmConfig, MR, NR};
 use blas::Op;
@@ -95,8 +93,7 @@ pub struct FuzzCase {
     pub trans_b: bool,
     /// 2×2 construction.
     pub variant: Variant,
-    /// Computation schedule (the six [`Scheme`]s, including the BDPZ
-    /// two-temp and in-place pair).
+    /// Computation schedule (the four [`Scheme`]s).
     pub scheme: Scheme,
     /// Odd-dimension strategy.
     pub odd: OddHandling,
@@ -256,19 +253,18 @@ impl FuzzCase {
         );
 
         let report = compare(c.as_ref(), reference.as_ref());
-        let bound = schedule_slack(self.scheme)
-            * gemm_bound(
-                self.m,
-                self.k,
-                self.n,
-                &self.criterion,
-                BoundSchedule::for_variant(self.variant),
-                self.alpha,
-                norms::max_abs(a.as_ref()),
-                norms::max_abs(b.as_ref()),
-                self.beta,
-                norms::max_abs(c0.as_ref()),
-            );
+        let bound = gemm_bound(
+            self.m,
+            self.k,
+            self.n,
+            &self.criterion,
+            BoundSchedule::for_variant(self.variant),
+            self.alpha,
+            norms::max_abs(a.as_ref()),
+            norms::max_abs(b.as_ref()),
+            self.beta,
+            norms::max_abs(c0.as_ref()),
+        );
         FuzzOutcome { report, bound, within_bound: report.max_abs_diff <= bound }
     }
 
@@ -359,7 +355,7 @@ mod tests {
             assert!(c.m >= CutoffCriterion::HARD_FLOOR && c.m <= MAX_DIM);
         }
         assert_eq!(variants.len(), 2);
-        assert_eq!(schemes.len(), 6, "Auto/Strassen1/Strassen2/SevenTemp plus the BDPZ pair");
+        assert_eq!(schemes.len(), 4, "Auto, Strassen1, Strassen2 and SevenTemp");
         assert_eq!(odds.len(), 4);
         assert_eq!(criteria.len(), 5, "all four paper criteria plus Never");
         assert_eq!(depths.len(), 4, "parallel_depth 0 through 3");

@@ -45,35 +45,12 @@ pub enum Scheme {
     /// as tasks on the in-tree thread pool (`parallel future work` of
     /// Section 5). Trades memory for task parallelism.
     SevenTemp,
-    /// Boyer–Dumas–Pernet–Zhou two-temporary schedule (ISSAC '09): only
-    /// the operand temporaries `X (m/2 × k/2)` and `Y (k/2 × n/2)` per
-    /// level, for a recursion-total bound of `(mk + kn)/3` extra
-    /// elements. For `β = 0` the products land directly in `C`'s
-    /// quadrants; for `β ≠ 0` it runs the in-place accumulating schedule
-    /// (see [`Scheme::InPlace`]). Only effective with
-    /// [`Variant::Winograd`].
-    TwoTemp,
-    /// Boyer–Dumas–Pernet–Zhou fully in-place accumulating schedule:
-    /// `C ← αAB + βC` with *no* product temporaries for any `β` — a `β`
-    /// pre-scale, then seven multiply-accumulate children whose results
-    /// transfer between `C` quadrants through bracketed add passes.
-    /// Lowest memory of every general-update schedule (`(mk + kn)/3`
-    /// total, below STRASSEN2), at the cost of 20 add passes and a wider
-    /// error envelope. Only effective with [`Variant::Winograd`].
-    InPlace,
 }
 
 impl Scheme {
     /// Every schedule, for config-space sweeps and the differential
     /// fuzzer.
-    pub const ALL: [Scheme; 6] = [
-        Scheme::Auto,
-        Scheme::Strassen1,
-        Scheme::Strassen2,
-        Scheme::SevenTemp,
-        Scheme::TwoTemp,
-        Scheme::InPlace,
-    ];
+    pub const ALL: [Scheme; 4] = [Scheme::Auto, Scheme::Strassen1, Scheme::Strassen2, Scheme::SevenTemp];
 }
 
 /// How odd dimensions are made even at each recursion level.
@@ -259,9 +236,9 @@ impl StrassenConfig {
     /// ```
     /// use strassen::{Scheme, StrassenConfig};
     ///
-    /// // The BDPZ low-memory pair is selected like any other schedule.
-    /// let cfg = StrassenConfig::dgefmm().scheme(Scheme::TwoTemp);
-    /// assert_eq!(cfg.scheme, Scheme::TwoTemp);
+    /// // Force STRASSEN2 even when β = 0 (`Auto` would run STRASSEN1).
+    /// let cfg = StrassenConfig::dgefmm().scheme(Scheme::Strassen2);
+    /// assert_eq!(cfg.scheme, Scheme::Strassen2);
     /// ```
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;

@@ -10,7 +10,6 @@ pub(crate) mod fused;
 pub(crate) mod original;
 pub(crate) mod program;
 pub(crate) mod seven_temp;
-pub(crate) mod two_temp;
 pub(crate) mod winograd1;
 pub(crate) mod winograd2;
 
@@ -30,8 +29,6 @@ impl ResolvedScheme {
                 &original::ORIGINAL_BETA_ZERO
             }
             ResolvedScheme::SevenTemp => &seven_temp::SEVEN_TEMP,
-            ResolvedScheme::TwoTempBetaZero => &two_temp::TWO_TEMP_BETA_ZERO,
-            ResolvedScheme::InPlaceAccumulate => &two_temp::IN_PLACE,
         }
     }
 }

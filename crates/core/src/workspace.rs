@@ -34,19 +34,10 @@ pub enum ResolvedScheme {
     OriginalGeneral,
     /// Seven-temporary fully parallelizable Winograd schedule.
     SevenTemp,
-    /// Boyer–Dumas–Pernet–Zhou two-temporary schedule, `β = 0` form
-    /// (temporaries `X (m/2 × k/2)`, `Y (k/2 × n/2)` only).
-    TwoTempBetaZero,
-    /// Boyer–Dumas–Pernet–Zhou in-place accumulating schedule: any `β`
-    /// with the same two temporaries and no product staging.
-    InPlaceAccumulate,
 }
 
-/// Resolve which schedule a configuration runs for a given `β`.
-///
-/// The BDPZ schemes are Winograd-variant schedules; under
-/// [`Variant::Original`] they fall back to the original paths like every
-/// other scheme.
+/// Resolve which schedule a configuration runs for a given `β`. Under
+/// [`Variant::Original`] every scheme runs the original paths.
 pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
     match (cfg.variant, cfg.scheme, beta_zero) {
         (Variant::Original, _, true) => ResolvedScheme::OriginalBetaZero,
@@ -57,9 +48,6 @@ pub fn resolve_scheme(cfg: &StrassenConfig, beta_zero: bool) -> ResolvedScheme {
         (Variant::Winograd, Scheme::Strassen1, false) => ResolvedScheme::Strassen1General,
         (Variant::Winograd, Scheme::Strassen2, _) => ResolvedScheme::Strassen2,
         (Variant::Winograd, Scheme::SevenTemp, _) => ResolvedScheme::SevenTemp,
-        (Variant::Winograd, Scheme::TwoTemp, true) => ResolvedScheme::TwoTempBetaZero,
-        (Variant::Winograd, Scheme::TwoTemp, false) => ResolvedScheme::InPlaceAccumulate,
-        (Variant::Winograd, Scheme::InPlace, _) => ResolvedScheme::InPlaceAccumulate,
     }
 }
 

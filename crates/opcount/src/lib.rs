@@ -8,8 +8,6 @@
 //!   `G(m,n) = mn`, plus a weighted-cost generalization;
 //! * [`recurrence`] — the cost recurrence (eq. 2) and closed forms
 //!   (eqs. 3–5) for the Winograd and original variants;
-//! * [`family`] — the two-class rank-R recurrence covering the BDPZ
-//!   two-temp/in-place schedules;
 //! * [`cutoff`] — the theoretical cutoff characterization (eqs. 6–8),
 //!   including the square cutoff 12 and the 6×14×86 counterexample class;
 //! * [`analysis`] — the headline percentages the paper quotes (12.5%,
@@ -31,7 +29,6 @@
 
 pub mod analysis;
 pub mod cutoff;
-pub mod family;
 pub mod memory;
 pub mod model;
 pub mod perf_model;

@@ -68,20 +68,6 @@ pub fn strassen2_per_level(m: u128, k: u128, n: u128) -> u128 {
     (m / 2) * (k / 2) + (k / 2) * (n / 2) + (m / 2) * (n / 2)
 }
 
-/// Boyer–Dumas–Pernet–Zhou two-temp/in-place recursion-total bound:
-/// only the operand temporaries `X (mk/4)` and `Y (kn/4)` per level,
-/// summing geometrically to `(mk + kn)/3` — below every Table 1 entry,
-/// including STRASSEN2's `(mk + kn + mn)/3` minimum among the paper's
-/// general-β schedules.
-///
-/// ```
-/// // Square: 2m²/3 — Table 1's best β = 0 number, but valid for any β.
-/// assert_eq!(opcount::memory::bdpz_bound(300, 300, 300), 2.0 * 300.0 * 300.0 / 3.0);
-/// ```
-pub fn bdpz_bound(m: u128, k: u128, n: u128) -> f64 {
-    ((m * k + k * n) as f64) / 3.0
-}
-
 /// A naive no-reuse implementation's bound (Section 3.2 intro):
 /// `(4mk + 4kn + 14mn)/3`.
 pub fn naive_bound(m: u128, k: u128, n: u128) -> f64 {
@@ -151,17 +137,6 @@ mod tests {
         let bound = strassen2_bound(m, k, n);
         assert!(total <= bound, "{total} > {bound}");
         assert!(total > 0.99 * bound);
-    }
-
-    #[test]
-    fn bdpz_bound_undercuts_every_table1_schedule() {
-        let (m, k, n) = (600u128, 600, 600);
-        let bdpz = bdpz_bound(m, k, n);
-        assert!(bdpz < strassen2_bound(m, k, n));
-        // Square specialization: 2m²/3, tied with STRASSEN1's β=0 bound
-        // but valid for *any* β.
-        assert!(bdpz <= strassen1_bound(m, k, n, true));
-        assert_eq!(bdpz, 2.0 * (m * m) as f64 / 3.0);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //! * one flow arrow per recorded DAG dependency edge (25 per instance:
 //!   4 sum-chain + 8 product←operand + 13 combine);
 //! * recording overhead stays within the 5% gate, measured as the
-//!   median of 9 paired tracing-on/tracing-off time ratios, with the
-//!   side that runs first alternating and each side repeating the
-//!   multiply for about 100 ms (`TIMELINE_NO_GUARD=1` demotes a noisy
-//!   failure to a loud warning).
+//!   median of 9 paired tracing-on/tracing-off time ratios; inside a
+//!   pair the sides alternate one multiply at a time for about 100 ms
+//!   each, the side that goes first alternates from pair to pair
+//!   (`TIMELINE_NO_GUARD=1` demotes a noisy failure to a loud warning).
 
 use blas::Op;
 use matrix::{random, Matrix};
@@ -133,12 +133,13 @@ fn main() {
         events.len(),
     );
 
-    // Overhead gate: the median of paired on/off time ratios. Each pair
-    // runs both sides back to back, and which side goes first alternates,
-    // so a drift in host speed moves both halves of a pair alike and
-    // favours neither side. Each side runs `reps` multiplies, enough for
-    // about 100 ms: one short multiply per side leaves the ratio to
-    // scheduler noise many times the size of the gate.
+    // Overhead gate: the median of paired on/off time ratios. Inside a
+    // pair the two sides alternate one multiply at a time for `reps`
+    // multiplies each (about 100 ms per side), and the pair's ratio is
+    // the on side's summed time over the off side's, so a drift in host
+    // speed within the pair moves both sums alike. Which side goes first
+    // alternates from pair to pair, so neither side always runs after
+    // the other.
     let pairs = 9;
     let seconds = |f: &dyn Fn()| {
         let t = Instant::now();
@@ -147,17 +148,21 @@ fn main() {
     };
     let one = seconds(&|| drop(multiply()));
     let reps = (0.1 / one).ceil().clamp(1.0, 1000.0) as usize;
-    let off = || (0..reps).for_each(|_| drop(multiply()));
-    let on = || (0..reps).for_each(|_| drop(timeline::record(multiply)));
+    let off = || drop(multiply());
+    let on = || drop(timeline::record(multiply));
     let mut ratios: Vec<f64> = (0..pairs)
         .map(|i| {
-            if i % 2 == 0 {
-                let off_s = seconds(&off);
-                seconds(&on) / off_s
-            } else {
-                let on_s = seconds(&on);
-                on_s / seconds(&off)
+            let (mut on_s, mut off_s) = (0.0, 0.0);
+            for _ in 0..reps {
+                if i % 2 == 0 {
+                    off_s += seconds(&off);
+                    on_s += seconds(&on);
+                } else {
+                    on_s += seconds(&on);
+                    off_s += seconds(&off);
+                }
             }
+            on_s / off_s
         })
         .collect();
     ratios.sort_by(f64::total_cmp);

@@ -16,18 +16,15 @@ use strassen::{
     StrassenConfig, Variant,
 };
 
-/// Every hand-scheduled ⟨2,2,2⟩ program: the four named schedules of the
-/// paper's code (Strassen's original construction, the two
-/// Winograd-variant memory schedules STRASSEN1 / STRASSEN2, and the
-/// parallel seven-temporary schedule) plus the Boyer–Dumas–Pernet–Zhou
-/// pair (two temporaries at β = 0, in place for any β).
-const SCHEDULES: [(&str, Variant, Scheme); 6] = [
+/// Every hand-scheduled ⟨2,2,2⟩ program: Strassen's original
+/// construction, the two Winograd-variant memory schedules STRASSEN1 /
+/// STRASSEN2 of the paper's code, and the parallel seven-temporary
+/// schedule.
+const SCHEDULES: [(&str, Variant, Scheme); 4] = [
     ("original", Variant::Original, Scheme::Strassen1),
     ("winograd1", Variant::Winograd, Scheme::Strassen1),
     ("winograd2", Variant::Winograd, Scheme::Strassen2),
     ("seven_temp", Variant::Winograd, Scheme::SevenTemp),
-    ("two_temp", Variant::Winograd, Scheme::TwoTemp),
-    ("in_place", Variant::Winograd, Scheme::InPlace),
 ];
 
 /// Fixed shapes: square even, square odd, and rectangular with every
