@@ -20,6 +20,7 @@
 use super::program::{Coef, Op, Program, Slot, MAX_TEMPS};
 use crate::config::StrassenConfig;
 use crate::dispatch::fmm;
+use crate::trace;
 use crate::trace::add::{
     accum, accum_sub, add_into, add_into_scaled, axpby, rsub_into, scale_in_place, sub_into, sub_into_scaled,
 };
@@ -59,6 +60,7 @@ pub(crate) fn run<T: Scalar>(
         // tail for exactly this.
         share: dag.then(|| (rest.len() / prog.rank()).max(1)),
     };
+    let level = dag.then(trace::dag_level).flatten();
     let mut builder = dag.then(DagBuilder::new);
     let mut product = 0;
     for (i, node) in prog.nodes().iter().enumerate() {
@@ -69,15 +71,23 @@ pub(crate) fn run<T: Scalar>(
             None => unsafe { frame.node(cfg, &node.ops, first, alpha, beta, depth) },
             Some(dag) => {
                 let tag = strassen_node(depth as u8, i as u8);
+                let level = level.as_ref();
                 // SAFETY: derived edges order every conflicting pair
                 // (module docs).
-                let body = move || unsafe { frame.node(cfg, &node.ops, first, alpha, beta, depth) };
+                let body = move || {
+                    trace::dag_node(level, || unsafe {
+                        frame.node(cfg, &node.ops, first, alpha, beta, depth)
+                    })
+                };
                 dag.node_tagged(prog.hints()[i], &prog.deps()[i], tag, body);
             }
         }
     }
     if let Some(dag) = builder {
         dag.run(cfg.parallel_width);
+    }
+    if let Some(level) = &level {
+        level.merge();
     }
 }
 

@@ -25,6 +25,8 @@ use crate::probe::{
 };
 use crate::workspace::ResolvedScheme;
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 thread_local! {
@@ -48,7 +50,9 @@ pub(crate) fn active() -> bool {
 ///
 /// Nested calls stack: the previous probe (if any) is restored when `f`
 /// returns, and also if it panics. Work spawned onto other threads inside
-/// `f` (the seven-temp parallel schedule) is not observed.
+/// `f` (a seven-temp DAG level's nodes run by pool threads) emits no
+/// events; only its workspace remainders reach this thread's high-water
+/// mark.
 pub fn with_probe<P: Probe, R>(probe: P, f: impl FnOnce() -> R) -> (R, P) {
     let prev = SLOT.with(|s| s.borrow_mut().replace(Box::new(probe)));
     let prev_active = ACTIVE.with(|a| a.replace(true));
@@ -169,6 +173,69 @@ pub(crate) fn node_guard(depth: usize, ws_remaining: usize) -> NodeGuard {
     WS_MIN.with(|c| c.set(c.get().min(ws_remaining)));
     let prev_depth = DEPTH.with(|c| c.replace(depth));
     NodeGuard { prev_depth: Some(prev_depth) }
+}
+
+/// A tracing thread's task-DAG level: the lowest workspace remainder
+/// any of its nodes reached, on whichever thread ran the node. Without
+/// it the high-water mark would miss every product a pool thread ran.
+pub(crate) struct DagLevel {
+    owner: ThreadId,
+    ws_min: AtomicUsize,
+}
+
+/// Open a DAG level: `Some` only when this thread traces.
+pub(crate) fn dag_level() -> Option<DagLevel> {
+    active().then(|| DagLevel { owner: thread::current().id(), ws_min: AtomicUsize::new(usize::MAX) })
+}
+
+impl DagLevel {
+    /// After the level's DAG has run: fold its low-water into this
+    /// thread's.
+    pub(crate) fn merge(&self) {
+        // Relaxed suffices: `dag.run` returns only after the pool scope's
+        // AcqRel completion counter has published every node's update.
+        let level_min = self.ws_min.load(Ordering::Relaxed);
+        WS_MIN.with(|c| c.set(c.get().min(level_min)));
+    }
+}
+
+/// Run one node of a DAG level (`None`: the level's caller does not
+/// trace). Every node starts from a fresh low-water and leaves this
+/// thread's own untouched, so the high-water marks stay exact however
+/// the pool interleaves levels across threads. For a tracing caller the
+/// node's remainders go to the level, on any thread; its events reach
+/// the caller's probe only when the caller runs it. Elsewhere, and under
+/// an untraced caller, the node records nothing, whatever the thread
+/// traces itself. One thread-local read when nobody traces.
+pub(crate) fn dag_node(level: Option<&DagLevel>, f: impl FnOnce()) {
+    if level.is_none() && !active() {
+        return f();
+    }
+    // Restores this thread's own tracing state, also on unwind.
+    struct Restore {
+        active: bool,
+        probe: Option<Box<dyn Probe>>,
+        ws_min: usize,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ACTIVE.with(|a| a.set(self.active));
+            if let Some(probe) = self.probe.take() {
+                SLOT.with(|s| *s.borrow_mut() = Some(probe));
+            }
+            WS_MIN.with(|c| c.set(self.ws_min));
+        }
+    }
+    let own = level.is_some_and(|level| level.owner == thread::current().id());
+    let _restore = Restore {
+        active: ACTIVE.with(|a| a.replace(level.is_some())),
+        probe: if own { None } else { SLOT.with(|s| s.borrow_mut().take()) },
+        ws_min: WS_MIN.with(|c| c.replace(usize::MAX)),
+    };
+    f();
+    if let Some(level) = level {
+        level.ws_min.fetch_min(WS_MIN.with(|c| c.get()), Ordering::Relaxed);
+    }
 }
 
 pub(crate) fn split(depth: usize, scheme: ResolvedScheme, m: usize, k: usize, n: usize) {
@@ -332,6 +399,39 @@ mod tests {
             assert!(active(), "outer probe restored after nested region");
         });
         assert!(!active());
+    }
+
+    /// A level's nodes report their workspace remainders to the level on
+    /// any thread; only the caller records their events. A node run for
+    /// another caller leaves this thread's probe and high-water alone.
+    #[test]
+    fn dag_nodes_report_to_their_own_level() {
+        let node = |ws_remaining| {
+            let _node = node_guard(1, ws_remaining);
+            split(1, ResolvedScheme::SevenTemp, 2, 2, 2);
+        };
+        let ((), probe) = with_probe(TraceProbe::new(), || {
+            call_start(2, 2, 2, true, 100);
+            let level = dag_level().expect("this thread traces");
+            std::thread::scope(|s| {
+                s.spawn(|| dag_node(Some(&level), || node(40)));
+            });
+            dag_node(Some(&level), || node(60));
+            let other = std::thread::scope(|s| s.spawn(|| thread::current().id()).join().unwrap());
+            let foreign = DagLevel { owner: other, ws_min: AtomicUsize::new(usize::MAX) };
+            dag_node(Some(&foreign), || node(7));
+            assert_eq!(foreign.ws_min.load(Ordering::Relaxed), 7);
+            dag_node(None, || {
+                assert!(!active(), "a node of an untraced caller records nothing");
+                node(3);
+            });
+            assert_eq!(WS_MIN.with(Cell::get), 100, "nodes report to their level, not to the thread");
+            level.merge();
+            call_end(0, 0, 0);
+        });
+        let trace = probe.into_trace();
+        assert_eq!(trace.ws_high_water, 60, "the remainder of 40, seen on another thread");
+        assert_eq!(trace.splits(), 1, "the one node that ran on its caller's thread");
     }
 
     #[test]

@@ -759,6 +759,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     /// Every test pins the pool to 4 workers before first use so the
     /// multi-worker assertions hold on single-CPU machines too. Only the
@@ -880,25 +881,36 @@ mod tests {
 
         // A helper pop: the scope owner runs one of the queued tasks
         // itself. One task more than there are workers, each holding its
-        // thread until the owner has run one: a thread holds at most one
-        // of them, so at least one stays queued for the owner to pop.
+        // thread until the owner has run one: a worker holds at most one
+        // of them, so one stays queued for the owner to pop — unless a
+        // concurrent test's scope owner, helping in its own wait, takes
+        // it. Nothing would then release the spinners, so each spins only
+        // until a deadline, and a bracket in which the owner ran none is
+        // retried.
         let me = std::thread::current().id();
-        let owner_ran = std::sync::atomic::AtomicBool::new(false);
-        let on_owner = Mutex::new(Vec::new());
-        scope(|s| {
-            for _ in 0..=current_num_threads() {
-                s.spawn(|| {
-                    if std::thread::current().id() == me {
-                        on_owner.lock().unwrap().push(in_task());
-                        owner_ran.store(true, Ordering::Release);
-                    }
-                    while !owner_ran.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                });
+        let mut helped = Vec::new();
+        for _ in 0..20 {
+            let owner_ran = std::sync::atomic::AtomicBool::new(false);
+            let on_owner = Mutex::new(Vec::new());
+            let deadline = Instant::now() + Duration::from_millis(250);
+            scope(|s| {
+                for _ in 0..=current_num_threads() {
+                    s.spawn(|| {
+                        if std::thread::current().id() == me {
+                            on_owner.lock().unwrap().push(in_task());
+                            owner_ran.store(true, Ordering::Release);
+                        }
+                        while !owner_ran.load(Ordering::Acquire) && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            helped = on_owner.into_inner().unwrap();
+            if !helped.is_empty() {
+                break;
             }
-        });
-        let helped = on_owner.into_inner().unwrap();
+        }
         assert!(!helped.is_empty() && helped.iter().all(|&t| t), "a helper pop runs marked: {helped:?}");
         assert!(!in_task(), "the mark is cleared after helping");
 

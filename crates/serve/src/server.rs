@@ -23,9 +23,15 @@
 //! floating-point state — so per-request results are bitwise identical
 //! at any worker count, batch composition, or cap setting. The batcher
 //! affects *when* a request runs, never *what* it computes.
+//!
+//! Buffers stay on the client's thread: the submitting thread allocates
+//! the output before it takes the queue lock, and the thread that
+//! collects the result frees the spent operands. The dispatcher and the
+//! pool threads only compute: unless a ticket is dropped unwaited, no
+//! request matrix is allocated on one thread and freed on another.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use blas::Op;
@@ -35,9 +41,9 @@ use strassen::{dgefmm, tls_arena_capacity_elements, StrassenConfig};
 
 use crate::bucket::BucketKey;
 
-/// One matrix product to serve: `C ← α · op(A) · op(B)` into a freshly
-/// allocated `C` (`β = 0` — the serving layer owns the output, so there
-/// is no prior `C` to update).
+/// One matrix product to serve: `C ← α · op(A) · op(B)` into a `C` the
+/// submitting thread allocates (`β = 0` — the serving layer owns the
+/// output, so there is no prior `C` to update).
 #[derive(Clone, Debug)]
 pub struct Request {
     /// Product scale.
@@ -104,10 +110,12 @@ pub struct Completed {
     /// Dispatch cycles the request sat out before being batched (0 =
     /// batched in the first cycle that saw it).
     pub wait_cycles: u64,
-    /// Nanoseconds from submit to execution start (queue + batching).
+    /// Nanoseconds from submit to execution start (queue, batching, and
+    /// DAG scheduling until a thread picked the node up).
     pub queue_ns: u64,
-    /// Nanoseconds inside `dgefmm` (includes DAG scheduling slack while
-    /// the node waited for a worker after being queued as ready).
+    /// Nanoseconds inside `dgefmm` alone: the output was allocated at
+    /// admission and the operands are freed by the collecting client, so
+    /// no allocator work is timed here.
     pub exec_ns: u64,
     /// End-to-end nanoseconds from submit to completion.
     pub latency_ns: u64,
@@ -131,18 +139,36 @@ struct TicketShared {
 /// A ticket's completion slot. `waiting` is set under the mutex by a
 /// [`Ticket::wait`] about to park, so the completing worker notifies only
 /// when someone is parked: a waiter either sees the result before it
-/// parks or has set the flag before the worker takes the lock.
+/// parks or has set the flag before the worker takes the lock. `spent`
+/// holds the served request, so its operands are freed by the thread
+/// that collects the result, not by the one that computed it.
 #[derive(Debug, Default)]
 struct Slot {
     result: Option<Completed>,
+    spent: Option<Request>,
     waiting: bool,
 }
 
+impl Slot {
+    /// Take the result out of the locked slot, release the lock, then
+    /// drop the spent request: its operands are freed on the calling
+    /// thread, outside the lock.
+    fn collect(mut slot: MutexGuard<'_, Slot>) -> Option<Completed> {
+        let done = slot.result.take();
+        let spent = slot.spent.take();
+        drop(slot);
+        drop(spent);
+        done
+    }
+}
+
 impl TicketShared {
-    /// Store the result and wake the waiter if it parked.
-    fn fulfil(&self, done: Completed) {
+    /// Store the result beside the spent request and wake the waiter if
+    /// it parked.
+    fn fulfil(&self, done: Completed, spent: Request) {
         let mut slot = self.slot.lock().unwrap();
         slot.result = Some(done);
+        slot.spent = Some(spent);
         let parked = slot.waiting;
         drop(slot);
         if parked {
@@ -163,18 +189,16 @@ impl Ticket {
     /// Block until the request has been served.
     pub fn wait(self) -> Completed {
         let mut slot = self.shared.slot.lock().unwrap();
-        loop {
-            if let Some(done) = slot.result.take() {
-                return done;
-            }
+        while slot.result.is_none() {
             slot.waiting = true;
             slot = self.shared.done.wait(slot).unwrap();
         }
+        Slot::collect(slot).expect("result checked under the lock")
     }
 
     /// The result if already served (non-blocking).
     pub fn try_take(&self) -> Option<Completed> {
-        self.shared.slot.lock().unwrap().result.take()
+        Slot::collect(self.shared.slot.lock().unwrap())
     }
 }
 
@@ -254,6 +278,8 @@ pub struct ServerStats {
 
 struct PendingReq {
     req: Request,
+    /// The `m × n` output, allocated by the submitting thread.
+    c: Matrix<f64>,
     dims: (usize, usize, usize),
     bucket: BucketKey,
     /// Per-bucket admission sequence number (FIFO evidence).
@@ -332,6 +358,7 @@ impl Server {
         let Some(dims) = req.dims() else {
             return Err(Rejected { reason: RejectReason::BadRequest, request: req });
         };
+        let c = Matrix::zeros(dims.0, dims.2);
         let mut state = self.inner.state.lock().unwrap();
         if state.shutting_down {
             self.inner.stats.lock().unwrap().rejected_shutdown += 1;
@@ -341,7 +368,7 @@ impl Server {
             self.inner.stats.lock().unwrap().rejected_full += 1;
             return Err(Rejected { reason: RejectReason::QueueFull, request: req });
         }
-        Ok(self.admit(&mut state, req, dims))
+        Ok(self.admit(&mut state, req, c, dims))
     }
 
     /// Blocking admission (backpressure): wait for queue space instead
@@ -356,6 +383,7 @@ impl Server {
             self.inner.stats.lock().unwrap().rejected_full += 1;
             return Err(Rejected { reason: RejectReason::QueueFull, request: req });
         }
+        let c = Matrix::zeros(dims.0, dims.2);
         let mut state = self.inner.state.lock().unwrap();
         loop {
             if state.shutting_down {
@@ -363,13 +391,21 @@ impl Server {
                 return Err(Rejected { reason: RejectReason::ShuttingDown, request: req });
             }
             if state.queue.len() < self.inner.cfg.queue_capacity {
-                return Ok(self.admit(&mut state, req, dims));
+                return Ok(self.admit(&mut state, req, c, dims));
             }
             state = self.inner.space_cv.wait(state).unwrap();
         }
     }
 
-    fn admit(&self, state: &mut QueueState, req: Request, dims: (usize, usize, usize)) -> Ticket {
+    /// Queue `req` with its output `c`, which the caller allocated before
+    /// taking the queue lock.
+    fn admit(
+        &self,
+        state: &mut QueueState,
+        req: Request,
+        c: Matrix<f64>,
+        dims: (usize, usize, usize),
+    ) -> Ticket {
         let (m, k, n) = dims;
         let bucket = BucketKey::classify(m, k, n);
         let seq_slot = state.next_seq.entry(bucket).or_insert(0);
@@ -378,6 +414,7 @@ impl Server {
         let shared = Arc::new(TicketShared { slot: Mutex::new(Slot::default()), done: Condvar::new() });
         state.queue.push_back(PendingReq {
             req,
+            c,
             dims,
             bucket,
             seq,
@@ -485,22 +522,23 @@ fn dispatcher_loop(inner: &Inner) {
 
 /// Take up to `max_batch` requests per bucket off the queue front,
 /// preserving per-bucket FIFO order; everything else stays queued (with
-/// its wait-cycle counter bumped) for the next cycle.
+/// its wait-cycle counter bumped) for the next cycle. The queue rotates
+/// once in place, so its buffer, which admission grows on the clients'
+/// threads, is never reallocated or freed here.
 fn form_cycle(state: &mut QueueState, max_batch: usize) -> Cycle {
     let mut batches: BTreeMap<BucketKey, Vec<PendingReq>> = BTreeMap::new();
-    let mut leftover = VecDeque::with_capacity(state.queue.len());
     let mut total = 0;
-    for mut pending in state.queue.drain(..) {
+    for _ in 0..state.queue.len() {
+        let mut pending = state.queue.pop_front().expect("counted above");
         let batch = batches.entry(pending.bucket).or_default();
         if batch.len() < max_batch {
             batch.push(pending);
             total += 1;
         } else {
             pending.wait_cycles += 1;
-            leftover.push_back(pending);
+            state.queue.push_back(pending);
         }
     }
-    state.queue = leftover;
     Cycle { batches, total }
 }
 
@@ -543,8 +581,8 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
             // Per-bucket in-flight cap as chained edges: node j waits
             // for node j − cap, so at most `cap` of this bucket's
             // requests are in flight at once.
-            let deps: Vec<usize> = if j >= cap { vec![node_ids[j - cap]] } else { Vec::new() };
-            let id = dag.node(Some(ordinal), &deps, move || {
+            let dep = j.checked_sub(cap).map(|i| node_ids[i]);
+            let id = dag.node(Some(ordinal), dep.as_slice(), move || {
                 serve_one(inner, &cfg, pending, batch_size, label);
             });
             node_ids.push(id);
@@ -553,14 +591,15 @@ fn execute_cycle(inner: &Inner, cycle: Cycle) {
     dag.run(inner.cfg.global_width);
 }
 
-/// Run one request's product and fulfill its ticket. `label` is the
+/// Run one request's product into the output its submitter allocated
+/// and fulfill its ticket, which also takes the spent request, so this
+/// thread neither allocates nor frees a request matrix. `label` is the
 /// bucket's [`BucketKey::label`]; the stats update allocates only the
 /// first time a bucket or thread appears.
 fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: usize, label: &str) {
-    let PendingReq { req, dims: (m, k, n), bucket, submitted, wait_cycles, ticket, .. } = pending;
+    let PendingReq { req, mut c, dims: (m, k, n), bucket, submitted, wait_cycles, ticket, .. } = pending;
     let queue_ns = submitted.elapsed().as_nanos() as u64;
     let exec_start = Instant::now();
-    let mut c = Matrix::<f64>::zeros(m, n);
     dgefmm(cfg, req.alpha, req.op_a, req.a.as_ref(), req.op_b, req.b.as_ref(), 0.0, c.as_mut());
     let exec_ns = exec_start.elapsed().as_nanos() as u64;
     let latency_ns = submitted.elapsed().as_nanos() as u64;
@@ -587,7 +626,7 @@ fn serve_one(inner: &Inner, cfg: &StrassenConfig, pending: PendingReq, batch: us
             }
         }
     }
-    ticket.fulfil(Completed { c, bucket, wait_cycles, queue_ns, exec_ns, latency_ns, batch, serve_seq });
+    ticket.fulfil(Completed { c, bucket, wait_cycles, queue_ns, exec_ns, latency_ns, batch, serve_seq }, req);
 }
 
 #[cfg(test)]

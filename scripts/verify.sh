@@ -112,14 +112,16 @@ FUZZ_ITERS=256 TESTKIT_SEED=0xD1CE5EED \
     cargo test -q --offline --test fuzz_differential differential_fuzz_campaign
 echo "fuzz campaign: 256/256 cases within the theoretical envelope"
 
-echo "== 13/15 serving layer at 2 workers (admission + determinism + soak) =="
+echo "== 13/15 serving layer at 2 workers (admission + determinism + soak + buffer affinity) =="
 # Step 2 already ran the serve suites at 1 and 4 workers; this completes
 # the {1, 2, 4} matrix for the serving layer specifically. The
 # determinism suite's inline-replay anchor is worker-count independent,
 # so a served result that depends on the pool size fails one of the
-# three runs.
+# three runs. The affinity suite counts, with a wrapping global
+# allocator, that the server's threads allocate and free no request
+# matrix: each is allocated and freed on its client's thread.
 STRASSEN_THREADS=2 cargo test -q --offline \
-    --test serve_admission --test serve_determinism --test serve_soak
+    --test serve_admission --test serve_determinism --test serve_soak --test serve_alloc_affinity
 echo "serving suites passed at 2 workers"
 
 echo "== 14/15 determinism spot-check at 2 workers =="

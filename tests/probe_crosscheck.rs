@@ -20,6 +20,8 @@ use opcount::model::OpCount;
 use opcount::recurrence::{
     original_cost, original_square, winograd_closed_form, winograd_cost, winograd_square,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 use strassen::cutoff::CutoffCriterion;
 use strassen::{
     counts, dgefmm, required_workspace, trace, OddHandling, Scheme, StrassenConfig, Trace, Variant,
@@ -253,6 +255,63 @@ fn high_water_fused_presets() {
             }
         }
     }
+}
+
+/// A traced task-DAG level whose seven products run on pool threads.
+/// Slow untraced filler jobs are queued on every worker's deque first: a
+/// waiting caller helps with the oldest queued job and a worker takes its
+/// own newest, so the caller runs fillers while the workers run the
+/// level's nodes. The high-water must still be the call's exact
+/// requirement: the level carries each node's workspace remainder back
+/// to its caller, whichever thread ran it. The caller records a fused
+/// event only for a product it ran itself, so `fused_nodes() == 0` shows
+/// the case this test is for; at least one attempt must show it.
+#[test]
+fn high_water_counts_products_run_on_pool_threads() {
+    // Serial leaf GEMMs: a product node never waits in a nested pool
+    // scope, where its thread would help with the filler too.
+    let cfg = StrassenConfig::dgefmm()
+        .scheme(Scheme::SevenTemp)
+        .parallel_depth(1)
+        .cutoff(CutoffCriterion::Hybrid { tau: 128, tau_m: 64, tau_k: 64, tau_n: 64 });
+    let (m, k, n) = (512, 512, 512);
+    let need = required_workspace(&cfg, m, k, n, true);
+    let mut caller_products = Vec::new();
+    for attempt in 0..5 {
+        let (queued, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let tr = std::thread::scope(|s| {
+            s.spawn(|| {
+                pool::scope(|ps| {
+                    // More filler than the call takes: each spins 0.5 ms,
+                    // or until the call is done.
+                    for i in 0..4096 {
+                        ps.spawn_at(i, || {
+                            let until = Instant::now() + Duration::from_micros(500);
+                            while !done.load(Ordering::Relaxed) && Instant::now() < until {
+                                std::hint::spin_loop();
+                            }
+                        });
+                    }
+                    queued.store(true, Ordering::Release);
+                })
+            });
+            while !queued.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let tr = traced_run(&cfg, m, k, n, 0.0);
+            done.store(true, Ordering::Relaxed);
+            tr
+        });
+        assert_eq!(tr.splits(), 1, "attempt {attempt}: one DAG level at the root");
+        assert_eq!(
+            tr.ws_high_water,
+            need,
+            "attempt {attempt}: {} products ran on the caller",
+            tr.fused_nodes()
+        );
+        caller_products.push(tr.fused_nodes());
+    }
+    assert!(caller_products.contains(&0), "the caller ran products in every attempt: {caller_products:?}");
 }
 
 // ---------------------------------------------------------------------
