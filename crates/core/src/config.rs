@@ -143,16 +143,29 @@ pub struct StrassenConfig {
 }
 
 impl StrassenConfig {
-    /// The paper's tuned default shape: Winograd variant, Auto schedule,
-    /// dynamic peeling, hybrid cutoff with placeholder parameters
-    /// (retune per machine with [`crate::tuning`]).
+    /// The paper's DGEFMM: Winograd variant, Auto schedule (STRASSEN1
+    /// when `β = 0`, else STRASSEN2), dynamic peeling, fused last level,
+    /// and the eq.-(15) criterion measured on this repository's kernel,
+    /// `Hybrid { τ = 2047, τm = τk = τn = 1023 }`.
+    ///
+    /// The parameters come from the paper's Table-2 procedure, run as
+    /// `examples/fused_level_probe.rs` (EXPERIMENTS.md, Table 2 section):
+    /// one Strassen level at the root against the same-thread GEMM, in
+    /// alternating rounds, over even and odd cubes from 1024 to 2048.
+    /// The GEMM wins or ties at every order up to 2047: even cubes break
+    /// even from about 1792, and an odd cube loses 2–10% more to the
+    /// peel. `τ` is the largest order the GEMM still wins at, and `τm`,
+    /// `τk`, `τn` keep the `τ/2` shape. So every product with a
+    /// dimension below 2048 is one GEMM call, 2048³ runs one fused level
+    /// (a tie) and 4096³ two levels. Retune per machine with
+    /// [`crate::tuning`] or the probe.
     pub fn dgefmm() -> Self {
         Self {
             variant: Variant::Winograd,
             scheme: Scheme::Auto,
             family: Family::F222,
             odd: OddHandling::DynamicPeeling,
-            cutoff: CutoffCriterion::Hybrid { tau: 64, tau_m: 32, tau_k: 32, tau_n: 32 },
+            cutoff: CutoffCriterion::Hybrid { tau: 2047, tau_m: 1023, tau_k: 1023, tau_n: 1023 },
             cutoff_general: None,
             // Machine-derived (mc, kc, nc): sysfs cache probe with sane
             // fallbacks, resolved once per process.
@@ -164,23 +177,18 @@ impl StrassenConfig {
         }
     }
 
-    /// The tuned default reshaped for full-machine execution: the
-    /// seven-temporary parallel schedule, task-DAG scheduling over the
-    /// top two recursion levels (49 leaf products — enough independent
-    /// tasks for any core count this code targets), and parallel leaf
-    /// GEMMs so the packed nest's `ic × jr` thread grid can soak up
-    /// workers the Strassen level leaves idle. The last level runs fused,
-    /// its `C` split over the same grid.
-    ///
-    /// It carries its own eq.-(15) parameters, `Hybrid { τ = 1024,
-    /// τm = τk = τn = 512 }`, measured for the leaf kernel it actually
-    /// runs, the 32 x 6 AVX-512 tile (EXPERIMENTS.md, Table 2 section):
-    /// one level at n = 2048, fused and split over every compute thread,
-    /// so the leaf products are 1024³; the task DAG starts at n = 4096.
-    /// Below the cutoff the call is one pool-parallel GEMM. The serial
-    /// default's τ = 64 placeholder would recurse five levels to 64³
-    /// leaves, where the blocked kernel runs well below its peak and the
-    /// add passes cost more than the multiplies they save.
+    /// [`StrassenConfig::dgefmm`] for full-machine execution. It keeps
+    /// the serial preset's measured cutoff, so both presets plan the
+    /// same recursion at every shape, and changes only how the plan
+    /// runs: the seven-temporary schedule as a task DAG over the top two
+    /// recursion levels (49 leaf products — enough independent tasks for
+    /// any core count this code targets), and pool-parallel leaf GEMMs,
+    /// so the packed nest's `ic × jr` thread grid can soak up workers
+    /// the Strassen level leaves idle. The last level runs fused, its
+    /// `C` split over the same grid. The probe measured the same
+    /// crossover on one pool worker plus the helping caller as on one
+    /// thread: one fused level at 2048³, the task DAG from 4096³, and
+    /// below 2048 one pool-parallel GEMM call.
     ///
     /// Pool sizing is orthogonal: call [`pool::set_num_threads`] (or set
     /// `STRASSEN_THREADS`) before first use; the default is the probed
@@ -188,7 +196,6 @@ impl StrassenConfig {
     pub fn dgefmm_parallel() -> Self {
         Self {
             scheme: Scheme::SevenTemp,
-            cutoff: CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 },
             parallel_depth: 2,
             gemm: GemmConfig::auto_parallel(),
             ..Self::dgefmm()
@@ -338,11 +345,45 @@ mod tests {
         assert_eq!(c.scheme, Scheme::SevenTemp);
         assert_eq!(c.parallel_depth, 2);
         assert_eq!(c.parallel_width, usize::MAX);
-        assert_eq!(c.cutoff, CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 });
-        assert_eq!(crate::planned_depth(&c, 2048, 2048, 2048), 1);
+        assert_eq!(c.cutoff, StrassenConfig::dgefmm().cutoff);
         let c = c.parallel_width(0).parallel_depth(1);
         assert_eq!(c.parallel_width, 1, "width clamps to >= 1");
         assert_eq!(c.parallel_depth, 1);
+    }
+
+    /// Both presets carry the one measured cutoff, and it gives each
+    /// benchmark shape its plan: `square_2048` one fused level, and
+    /// every `rect_odd_beta` template one GEMM call at every corner of
+    /// its seed jitter (each odd dimension moved by up to ±32, clamped
+    /// to [769, 2049]; the templates are `benchmark/src/workloads.rs`'s
+    /// `RECT_TEMPLATES`). `serve_saturated`'s dimensions stay at or
+    /// below 80.
+    #[test]
+    fn presets_plan_each_benchmark_shape() {
+        let (serial, parallel) = (StrassenConfig::dgefmm(), StrassenConfig::dgefmm_parallel());
+        assert_eq!(serial.cutoff, parallel.cutoff);
+        assert_eq!(serial.cutoff_general, parallel.cutoff_general);
+        for cfg in [serial, parallel] {
+            assert_eq!(crate::planned_depth(&cfg, 2048, 2048, 2048), 1);
+            assert_eq!(crate::planned_depth(&cfg, 4096, 4096, 4096), 2);
+            assert_eq!(crate::planned_depth(&cfg, 80, 80, 80), 0);
+        }
+        const RECT_TEMPLATES: [(usize, usize, usize); 6] = [
+            (1105, 1105, 1105),
+            (2049, 801, 823),
+            (801, 2049, 823),
+            (823, 801, 2049),
+            (1537, 1153, 769),
+            (769, 1153, 1537),
+        ];
+        let jitter = |d: usize, up: bool| if up { (d + 32).min(2049) } else { (d - 32).max(769) };
+        for (m, k, n) in RECT_TEMPLATES {
+            for corner in 0..8 {
+                let (m, k, n) =
+                    (jitter(m, corner & 1 != 0), jitter(k, corner & 2 != 0), jitter(n, corner & 4 != 0));
+                assert_eq!(crate::planned_depth(&parallel, m, k, n), 0, "{m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,33 @@ pub fn time_samples(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
     times
 }
 
+/// Wall-clock seconds of `reps` runs of each of `f` and `g`, one of each
+/// per rep, the first of the pair alternating from rep to rep, after one
+/// untimed warm-up run of each. A drift in host speed then moves both
+/// arms alike; timing every run of one arm before the other would bias
+/// their ratio.
+pub fn time_paired_samples(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (Vec<f64>, Vec<f64>) {
+    assert!(reps > 0);
+    f();
+    g();
+    let time = |h: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        h();
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut f_times, mut g_times) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            f_times.push(time(&mut f));
+            g_times.push(time(&mut g));
+        } else {
+            g_times.push(time(&mut g));
+            f_times.push(time(&mut f));
+        }
+    }
+    (f_times, g_times)
+}
+
 /// Median wall-clock seconds of `reps` timed runs of `f` (see
 /// [`time_samples`]).
 pub fn time_median(reps: usize, f: impl FnMut()) -> f64 {
@@ -138,33 +165,34 @@ impl TimedPoint {
 }
 
 /// Measure one `(m, k, n)` shape with `α = 1, β = 0` (the paper's tuning
-/// setting): `reps` unprofiled timed reps per arm decide the ratio, then
-/// one profiled Strassen rep gathers the attribution.
+/// setting): `reps` unprofiled timed reps per arm, the two arms
+/// alternating rep by rep ([`time_paired_samples`]), decide the ratio,
+/// then one profiled Strassen rep gathers the attribution.
 pub fn crossover_point(gemm_cfg: &GemmConfig, m: usize, k: usize, n: usize, reps: usize) -> TimedPoint {
     let a = random::uniform::<f64>(m, k, 0x5eed_0001);
     let b = random::uniform::<f64>(k, n, 0x5eed_0002);
     let mut c = Matrix::<f64>::zeros(m, n);
-
-    let gemm_times = time_samples(reps, || {
-        gemm(gemm_cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
-    });
+    let mut c_gemm = Matrix::<f64>::zeros(m, n);
 
     let one = one_level_config(*gemm_cfg);
     let mut ws = Workspace::<f64>::for_problem(&one, m, k, n, true);
-    let mut strassen_rep = |ws: &mut Workspace<f64>| {
-        dgefmm_with_workspace(
-            &one,
-            1.0,
-            Op::NoTrans,
-            a.as_ref(),
-            Op::NoTrans,
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-            ws,
-        );
-    };
-    let strassen_times = time_samples(reps, || strassen_rep(&mut ws));
+    let (gemm_times, strassen_times) = time_paired_samples(
+        reps,
+        || gemm(gemm_cfg, 1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c_gemm.as_mut()),
+        || {
+            dgefmm_with_workspace(
+                &one,
+                1.0,
+                Op::NoTrans,
+                a.as_ref(),
+                Op::NoTrans,
+                b.as_ref(),
+                0.0,
+                c.as_mut(),
+                &mut ws,
+            )
+        },
+    );
 
     // One extra profiled rep for attribution only (its time never enters
     // the ratio). It runs the *classic* schedules: the fused kernels hide
@@ -475,6 +503,14 @@ mod tests {
         let samples = time_samples(4, || calls += 1);
         assert_eq!(calls, 5, "one warm-up call, then one per rep");
         assert_eq!(samples.len(), 4);
+    }
+
+    #[test]
+    fn paired_samples_alternate_the_arms() {
+        let order = std::cell::RefCell::new(String::new());
+        let (f, g) = time_paired_samples(3, || order.borrow_mut().push('f'), || order.borrow_mut().push('g'));
+        assert_eq!(order.into_inner(), "fgfggffg", "warm-up, then the first arm alternates");
+        assert_eq!((f.len(), g.len()), (3, 3));
     }
 
     #[test]

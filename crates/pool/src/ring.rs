@@ -483,6 +483,23 @@ mod tests {
     /// foreign activity — but exclusivity keeps the asserts readable).
     static SESSION: Mutex<()> = Mutex::new(());
 
+    /// Take the session lock even if a ring test panicked while holding
+    /// it: a poisoned lock would fail every later ring test and hide the
+    /// first failure.
+    fn session() -> std::sync::MutexGuard<'static, ()> {
+        SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Stops recording when dropped, so a ring test that panics inside
+    /// its recording bracket does not leave recording on for the next.
+    struct StopOnDrop;
+
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            stop_recording();
+        }
+    }
+
     #[test]
     fn tag_roundtrip() {
         let t = tag::with_instance(tag::strassen_node(3, 17), 0xabcd);
@@ -517,7 +534,7 @@ mod tests {
     #[test]
     fn recording_off_records_nothing() {
         init();
-        let _guard = SESSION.lock().unwrap();
+        let _guard = session();
         assert!(!is_recording());
         let before = kind_counts();
         crate::scope(|s| {
@@ -532,9 +549,10 @@ mod tests {
     #[test]
     fn events_record_spawn_start_finish() {
         init();
-        let _guard = SESSION.lock().unwrap();
+        let _guard = session();
         let marks = marks();
         assert!(!start_recording());
+        let _recording = StopOnDrop;
         crate::scope(|s| {
             for _ in 0..8 {
                 s.spawn_tagged(None, tag::gemm_task(0, 3), || std::hint::black_box(()));
@@ -565,7 +583,7 @@ mod tests {
     #[test]
     fn ring_counts_reconcile_with_pool_stats() {
         init();
-        let _guard = SESSION.lock().unwrap();
+        let _guard = session();
         // Bracket: recording spans the whole stats window, so every
         // counted aggregate increment has a matching ring event. Tests
         // from this binary running concurrently can straddle a bracket
@@ -576,6 +594,7 @@ mod tests {
         let mut last_err = String::new();
         for attempt in 0..10 {
             start_recording();
+            let _recording = StopOnDrop;
             let stats_before = crate::pool_stats();
             let counts_before = kind_counts();
             for _ in 0..4 {

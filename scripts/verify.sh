@@ -26,9 +26,11 @@ echo "== 3/15 experiments binary and fused-level probe smoke runs =="
 # every schedule, odd-handling, variant and depth row end to end.
 cargo build --release --offline -p strassen-bench --bins
 cargo run --release --offline --quiet -p strassen-bench --bin experiments -- ablation --scale smoke
-# One round of the fused-level probe at an odd order: the fused level
-# with peeling against gemm_parallel, through the probe's own agreement
-# assert. Its timing is printed, not gated.
+# One round of the fused-level probe at an odd order: the probe forces
+# one Strassen level at the root (the presets' own cutoff would run one
+# GEMM call at 1105), so the fused level with peeling runs against the
+# same-thread GEMM, through the probe's own agreement assert. Its timing
+# is printed, not gated.
 cargo run --release --offline --quiet --example fused_level_probe -- --n 1105 --rounds 1
 
 echo "== 4/15 benchmark package builds and passes its tests =="

@@ -26,7 +26,7 @@
 //!
 //! let a = random::uniform::<f64>(64, 64, 1);
 //! let b = random::uniform::<f64>(64, 64, 2);
-//! let c = multiply(&a, &b); // Strassen under the hood
+//! let c = multiply(&a, &b); // DGEFMM at the library's measured cutoff
 //! assert_eq!(c.nrows(), 64);
 //! ```
 

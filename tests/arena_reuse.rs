@@ -48,7 +48,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn second_dgefmm_call_performs_zero_allocations() {
-    let cfg = StrassenConfig::dgefmm();
+    // τ = 64 recurses two levels at n = 256 (the last one fused), so the
+    // arena holds real temporaries; the library's own cutoff would run
+    // one GEMM call.
+    let cfg = StrassenConfig::with_square_cutoff(64);
     let n = 256;
     let a = random::uniform::<f64>(n, n, 1);
     let b = random::uniform::<f64>(n, n, 2);

@@ -274,22 +274,23 @@ fn seven_temp_serial_vs_parallel_bitwise_identical() {
 /// `dgefmm_parallel()` and `dgefmm_parallel().parallel_depth(0)` with
 /// the serial 5-loop GEMM select the same kernels at every node
 /// (including the fused last level, which the parallel leaf kernel runs
-/// with its column loop split across the pool) and agree bitwise. Under
-/// the preset's own τ = 1024 it covers n = 1088 at β = 0 and an odd
-/// shape at β = 0.5 (peel), both one fused level at the root, where the
-/// split counts the helping caller. At τ = 256 it covers n = 1024 at
-/// β = 0, a task-DAG level over seven fused levels that split over the
-/// workers only, and 515 x 389 x 453 at β = 0.5 (peel, then a fused
-/// level at the root).
+/// with its column loop split across the pool) and agree bitwise. At an
+/// explicit τ = 1024 it covers n = 1088 at β = 0 and an odd shape at
+/// β = 0.5 (peel), both one fused level at the root, where the split
+/// counts the helping caller; the preset's own cutoff plans that level
+/// only from 2048³. At τ = 256 it covers n = 1024 at β = 0, a task-DAG
+/// level over seven fused levels that split over the workers only, and
+/// 515 x 389 x 453 at β = 0.5 (peel, then a fused level at the root).
 #[test]
 fn parallel_preset_equals_its_serial_twin_bitwise() {
     let _ = pinned_workers();
     let _alone = fan_out_lock();
     let preset = StrassenConfig::dgefmm_parallel();
+    let tau1024 = preset.cutoff(CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 });
     let tau256 = preset.cutoff(CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 });
     let cases = [
-        (preset, (1088usize, 1088usize, 1088usize, 0.0)),
-        (preset, (1155, 1029, 1091, 0.5)),
+        (tau1024, (1088usize, 1088usize, 1088usize, 0.0)),
+        (tau1024, (1155, 1029, 1091, 0.5)),
         (tau256, (1024, 1024, 1024, 0.0)),
         (tau256, (515, 389, 453, 0.5)),
     ];

@@ -225,21 +225,24 @@ fn high_water_auto_rectangular() {
 /// The library presets, whose last level runs fused: the arena draws
 /// nothing for a fused level, and `required_workspace` reserves nothing
 /// for it, so high-water equals the requirement exactly for both β
-/// classes. `dgefmm` runs an even cube, a shape below the cutoff, and an
-/// odd shape whose peeled core takes the fused path. The parallel
-/// preset's τ = 1024 puts one fused level at the root of an even and an
-/// odd shape just above τ; at its old τ = 256 an even cube runs a
-/// task-DAG level over seven fused ones (a nonzero arena) and an odd
-/// shape peels into a fused root.
+/// classes. The presets' own cutoff plans a level only from 2048³, so
+/// the presets run at explicit cutoffs that reach the paths below it.
+/// `dgefmm` at τ = 64 runs an even cube (three levels, the last fused),
+/// a shape below the cutoff, and an odd shape whose peeled core takes
+/// the fused path. The parallel preset at τ = 1024 puts one fused level
+/// at the root of an even and an odd shape just above τ; at τ = 256 an
+/// even cube runs a task-DAG level over seven fused ones (a nonzero
+/// arena) and an odd shape peels into a fused root.
 #[test]
 fn high_water_fused_presets() {
+    let tau1024 = CutoffCriterion::Hybrid { tau: 1024, tau_m: 512, tau_k: 512, tau_n: 512 };
     let tau256 = CutoffCriterion::Hybrid { tau: 256, tau_m: 128, tau_k: 128, tau_n: 128 };
     let small = [(96, 160, 64), (512, 512, 512), (257, 129, 193)];
     let above_tau = [(1088, 1088, 1088), (1155, 1029, 1091)];
     let dag_over_fused = [(1024, 1024, 1024), (515, 389, 453)];
     let cases = [
-        ("dgefmm", StrassenConfig::dgefmm(), &small[..]),
-        ("dgefmm_parallel", StrassenConfig::dgefmm_parallel(), &above_tau[..]),
+        ("dgefmm at τ = 64", StrassenConfig::with_square_cutoff(64), &small[..]),
+        ("dgefmm_parallel at τ = 1024", StrassenConfig::dgefmm_parallel().cutoff(tau1024), &above_tau[..]),
         ("dgefmm_parallel at τ = 256", StrassenConfig::dgefmm_parallel().cutoff(tau256), &dag_over_fused[..]),
     ];
     for (label, cfg, shapes) in cases {
@@ -251,7 +254,7 @@ fn high_water_fused_presets() {
                 // The root is a task-DAG split or a fused level, both
                 // recorded on the calling thread.
                 let recursed = tr.splits() + tr.fused_nodes() > 0;
-                assert!(recursed || label == "dgefmm", "{label} {m}x{k}x{n}: no Strassen level");
+                assert!(recursed || (m, k, n) == (96, 160, 64), "{label} {m}x{k}x{n}: no Strassen level");
             }
         }
     }

@@ -7,10 +7,10 @@
 //!    through the per-thread workspace arena; once a thread has served
 //!    the arena-dominating shape, later requests reuse the same
 //!    capacity. The test warms each executing thread up to the stream's
-//!    Table-1 ceiling, snapshots the per-thread arena high-water map,
+//!    arena ceiling, snapshots the per-thread arena high-water map,
 //!    pushes sustained load, and asserts the map is **exactly
 //!    unchanged** — and everywhere bounded by the ceiling computed from
-//!    `strassen::workspace_elements`.
+//!    `strassen::workspace_elements` plus the staged transposes.
 //! 2. **No starvation.** Per-bucket FIFO with a per-cycle `max_batch`
 //!    bounds how long a request can sit queued; `max_wait_cycles` must
 //!    stay under the worst backlog the test ever created.
@@ -22,6 +22,7 @@
 //! server, must all complete (no lost wakeup).
 
 use accuracy::draw_shape;
+use blas::Op;
 use matrix::random;
 use serve::{Request, Server, ServerConfig, Ticket};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -33,20 +34,40 @@ use testkit::Gen;
 const SOAK_SEED: u64 = 0x50AC_BEEF;
 const ROUNDS: usize = 8;
 const PER_ROUND: usize = 96;
-/// Shapes that recurse two levels under the served plan. Drawn shapes
-/// stay at most 80 and recurse at most one level, which runs fused and
-/// draws no workspace; these keep real temporaries in the stream.
-const TWO_LEVEL: [(usize, usize, usize); 4] =
+/// Requests that keep real arena draws in the stream. Under the served
+/// plan no shape a test can afford draws workspace: drawn shapes stay at
+/// most 80 and run one GEMM call, one Strassen level runs fused and
+/// draws nothing, and two levels start at 4096³. So these submit both
+/// operands transposed, and `dgefmm` stages `op(A)` and `op(B)` in the
+/// same per-thread arena: `m·k + k·n` elements.
+const STAGED: [(usize, usize, usize); 4] =
     [(130, 130, 130), (200, 180, 240), (259, 131, 197), (256, 256, 256)];
+/// The smallest cube the served plan recurses on: one fused level.
+const ONE_LEVEL: (usize, usize, usize) = (2048, 2048, 2048);
 
-fn shapes(count: usize, g: &mut Gen) -> Vec<(usize, usize, usize)> {
-    (0..count).map(|_| draw_shape(g)).collect()
+type Shape = ((usize, usize, usize), Op);
+
+fn shapes(count: usize, g: &mut Gen) -> Vec<Shape> {
+    (0..count).map(|_| (draw_shape(g), Op::NoTrans)).collect()
 }
 
-fn submit_shape(server: &Server, (m, k, n): (usize, usize, usize), g: &mut Gen) -> Ticket {
-    let a = random::uniform::<f64>(m, k, g.seed());
-    let b = random::uniform::<f64>(k, n, g.seed());
-    server.submit_blocking(Request::new(a, b)).expect("soak submissions are admitted")
+/// Submit `op(A) · op(B)` of product shape `(m, k, n)`, with `op` applied
+/// to both operands.
+fn submit_shape(server: &Server, ((m, k, n), op): Shape, g: &mut Gen) -> Ticket {
+    let (a, b) = match op {
+        Op::NoTrans => (random::uniform::<f64>(m, k, g.seed()), random::uniform::<f64>(k, n, g.seed())),
+        Op::Trans => (random::uniform::<f64>(k, m, g.seed()), random::uniform::<f64>(n, k, g.seed())),
+    };
+    let req = Request { op_a: op, op_b: op, ..Request::new(a, b) };
+    server.submit_blocking(req).expect("soak submissions are admitted")
+}
+
+/// Arena elements `dgefmm` draws for a request: the plan's Table-1
+/// workspace (zero for every shape here) plus the transposed operands
+/// it stages.
+fn arena_draw(server: &Server, ((m, k, n), op): Shape) -> usize {
+    let staged = if op == Op::Trans { m * k + k * n } else { 0 };
+    workspace_elements(&server.config_for(m, k, n), m, k, n, true) + staged
 }
 
 #[test]
@@ -59,23 +80,21 @@ fn sustained_load_is_arena_stable_starvation_free_and_drains() {
     });
     let mut g = Gen::new(SOAK_SEED, 1.0);
 
-    // The whole campaign's shape list, drawn up front so the Table-1
+    // The whole campaign's shape list, drawn up front so the
     // arena ceiling — and the shape that attains it — are known before
     // any load runs.
-    let mut campaign: Vec<Vec<(usize, usize, usize)>> =
-        (0..ROUNDS).map(|_| shapes(PER_ROUND, &mut g)).collect();
-    for &(m, k, n) in &TWO_LEVEL {
-        assert_eq!(planned_depth(&server.config_for(m, k, n), m, k, n), 2, "{m}x{k}x{n}");
-    }
-    campaign.push(TWO_LEVEL.to_vec());
-    let (mut ceiling, mut worst) = (0, (1, 1, 1));
-    for &(m, k, n) in campaign.iter().flatten() {
-        let need = workspace_elements(&server.config_for(m, k, n), m, k, n, true);
+    let mut campaign: Vec<Vec<Shape>> = (0..ROUNDS).map(|_| shapes(PER_ROUND, &mut g)).collect();
+    let (m, k, n) = ONE_LEVEL;
+    assert_eq!(planned_depth(&server.config_for(m, k, n), m, k, n), 1, "{m}x{k}x{n}");
+    campaign.push(STAGED.iter().map(|&dims| (dims, Op::Trans)).chain([(ONE_LEVEL, Op::NoTrans)]).collect());
+    let (mut ceiling, mut worst) = (0, ((1, 1, 1), Op::NoTrans));
+    for &shape in campaign.iter().flatten() {
+        let need = arena_draw(&server, shape);
         if need > ceiling {
-            (ceiling, worst) = (need, (m, k, n));
+            (ceiling, worst) = (need, shape);
         }
     }
-    assert!(ceiling > 0, "the stream must exercise the Strassen workspace");
+    assert!(ceiling > 0, "the stream must exercise the workspace arena");
 
     // Warm-up: enough copies of the arena-dominating shape that every
     // thread which will ever execute requests (the pool workers plus
@@ -98,7 +117,7 @@ fn sustained_load_is_arena_stable_starvation_free_and_drains() {
         // Warmed threads served only the dominating shape, so their
         // high-water is the ceiling exactly — the strongest possible
         // baseline for the steady-state equality below.
-        assert_eq!(high, ceiling, "{thread}: warm arena {high} != Table-1 ceiling {ceiling}");
+        assert_eq!(high, ceiling, "{thread}: warm arena {high} != arena ceiling {ceiling}");
     }
 
     // Steady state: sustained mixed-shape rounds with a bounded
@@ -117,7 +136,7 @@ fn sustained_load_is_arena_stable_starvation_free_and_drains() {
         // the same ceiling.
         let now = server.stats().arena_high_water;
         for (thread, &high) in &now {
-            assert!(high <= ceiling, "{thread}: arena {high} exceeds the Table-1 ceiling {ceiling}");
+            assert!(high <= ceiling, "{thread}: arena {high} exceeds the arena ceiling {ceiling}");
             if let Some(&warmed) = warm.get(thread) {
                 assert_eq!(high, warmed, "{thread}: steady-state arena growth ({warmed} -> {high})");
             }
@@ -177,7 +196,7 @@ fn immediate_waits_never_lose_a_wakeup() {
         // result lands.
         for _ in 0..WAKEUPS {
             let (m, k, n) = draw_shape(&mut g);
-            let done = submit_shape(&server, (m, k, n), &mut g).wait();
+            let done = submit_shape(&server, ((m, k, n), Op::NoTrans), &mut g).wait();
             assert_eq!((done.c.nrows(), done.c.ncols()), (m, n));
         }
         // Paused, then resumed: waiters park on tickets the dispatcher
