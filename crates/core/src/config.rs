@@ -153,7 +153,7 @@ impl StrassenConfig {
     /// one Strassen level at the root against the same-thread GEMM, in
     /// alternating rounds, over even and odd cubes from 1024 to 2048.
     /// The GEMM wins or ties at every order up to 2047: even cubes break
-    /// even from about 1792, and an odd cube loses 2–10% more to the
+    /// even from about 1664–1792, and every odd cube loses 3–20% to the
     /// peel. `τ` is the largest order the GEMM still wins at, and `τm`,
     /// `τk`, `τn` keep the `τ/2` shape. So every product with a
     /// dimension below 2048 is one GEMM call, 2048³ runs one fused level

@@ -86,8 +86,7 @@ fn main() {
     };
     let cfg = if preset_plan { preset } else { preset.cutoff(CutoffCriterion::Never).max_depth(1) };
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let threads =
-        if serial { "the calling thread".to_string() } else { "1 pool worker plus the caller".to_string() };
+    let threads = if serial { "the calling thread" } else { "1 pool worker plus the caller" };
     let plan = if preset_plan { "its own plan" } else { "one level at the root" };
     println!("{name} ({plan}) against the same-thread GEMM, β = {beta}, {rounds} alternating rounds,");
     println!("{threads}, {cpus} CPUs available; times in ms, median [q1, q3]");
